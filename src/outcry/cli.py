@@ -15,16 +15,6 @@ from datetime import date
 
 from .clustering import ClusterState
 from .config import InvalidConfig, RunConfig
-from .market import (
-    InsufficientData,
-    ZeroVariance,
-    daily_returns,
-    event_day_zscore,
-    load_price_csv,
-    paired_returns,
-    return_histogram,
-    return_stats,
-)
 from .pipeline import SCHEMA_VERSION, _round_floats, report_payload, run_detection
 from .synth import GroundTruth, ScenarioConfig, evaluate, generate
 from .ingest import SourceUnavailable
@@ -126,6 +116,18 @@ def cmd_detect(args) -> int:
 
 
 def cmd_market(args) -> int:
+    # Imported here so the other commands never load numpy.
+    from .market import (
+        InsufficientData,
+        ZeroVariance,
+        daily_returns,
+        event_day_zscore,
+        load_price_csv,
+        paired_returns,
+        return_histogram,
+        return_stats,
+    )
+
     try:
         series = load_price_csv(args.prices)
     except OSError as exc:

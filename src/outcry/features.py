@@ -1,8 +1,15 @@
 """Tweet feature extraction: tokens, heuristic tagging, 5W terms, sentiment.
 
+Extraction is one pass.  The text is scanned once into parallel lists of
+token surfaces, kinds and lowercased words; the tagger labels those lists;
+the 5W terms and the sentiment score are read off the same lists.  No
+``Token`` object is built on that path.  ``tokenize``, ``RuleTagger.tag``,
+``merge_proper_nouns`` and ``score_sentiment`` are views over the same core
+for callers that work with ``Token`` objects.
+
 The tagger is a deliberately simple capitalization/word-list heuristic behind
-a pluggable interface; swap in anything with the same ``tag`` signature to
-use a statistical tagger instead.  All functions here are pure.
+a pluggable interface (see ``RuleTagger`` for the two methods a replacement
+needs).  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -33,15 +40,22 @@ OTHER = "other"
 NEGATION_WINDOW = 3
 SENTIMENT_MIN, SENTIMENT_MAX = -2.0, 2.0
 
+# Group names are the token kinds, so ``match.lastgroup`` is a token's kind.
+# A punctuation run that opens with '#' or '@' and is longer than one
+# character ("#!!") is a hashtag or mention, and "#!!" yields the term "!!".
 _TOKEN_RE = re.compile(
-    r"https?://\S+"        # URLs first so hosts/paths stay intact
-    r"|#\w+"
-    r"|@\w+"
-    r"|\w+(?:'\w+)?"       # words, allowing an internal apostrophe
-    r"|[^\w\s]+"           # runs of punctuation
+    rf"(?P<{URL}>https?://\S+)"            # URLs first so hosts/paths stay intact
+    rf"|(?P<{HASHTAG}>#(?:\w+|[^\w\s]+))"
+    rf"|(?P<{MENTION}>@(?:\w+|[^\w\s]+))"
+    rf"|(?P<{WORD}>\w+(?:'\w+)?)"          # words, allowing an internal apostrophe
+    rf"|(?P<{PUNCT}>[^\w\s]+)"             # runs of punctuation
 )
 
 _SENTENCE_END = re.compile(r"[.!?]")
+
+# Distinct words whose verb lemma a tagger remembers before starting over.
+LEMMA_CACHE_SIZE = 1 << 16
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -51,24 +65,38 @@ class Token:
     kind: str
 
 
+def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
+    """One regex pass: token surfaces, kinds, and lowercased words (None for
+    non-word tokens) as parallel lists, plus the hashtag terms in order."""
+    surfaces: list[str] = []
+    kinds: list[str] = []
+    words: list[str | None] = []
+    hashtags: list[str] = []
+    for match in _TOKEN_RE.finditer(text):
+        surface = match.group()
+        kind = match.lastgroup
+        surfaces.append(surface)
+        kinds.append(kind)
+        if kind == WORD:
+            words.append(surface.lower())
+        else:
+            words.append(None)
+            if kind == HASHTAG:
+                hashtags.append(surface[1:].lower())
+    return surfaces, kinds, words, hashtags
+
+
+def _token_lists(tokens: Sequence[Token]) -> tuple[list[str], list[str], list[str | None]]:
+    surfaces = [t.surface for t in tokens]
+    kinds = [t.kind for t in tokens]
+    words = [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
+    return surfaces, kinds, words
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into word/hashtag/mention/url/punctuation tokens."""
-    tokens = []
-    for i, match in enumerate(_TOKEN_RE.finditer(text)):
-        surface = match.group()
-        first = surface[0]
-        if surface.startswith(("http://", "https://")):
-            kind = URL
-        elif first == "#" and len(surface) > 1:
-            kind = HASHTAG
-        elif first == "@" and len(surface) > 1:
-            kind = MENTION
-        elif first.isalnum() or first == "_":
-            kind = WORD
-        else:
-            kind = PUNCT
-        tokens.append(Token(surface, i, kind))
-    return tokens
+    surfaces, kinds, _, _ = _scan(text)
+    return [Token(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))]
 
 
 def _read_data_lines(path) -> list[str]:
@@ -144,23 +172,33 @@ class SentimentLexicon:
 
 class RuleTagger:
     """Heuristic tagger: gazetteer match, then capitalized non-sentence-initial
-    words as proper nouns, then verb-list lookup with suffix stripping."""
+    words as proper nouns, then verb-list lookup with suffix stripping.
+
+    The feature core calls two methods, and a replacement tagger needs both:
+
+    - ``tag_lists(surfaces, kinds, words)`` takes a text's tokens as parallel
+      lists (surface, kind, and the lowercased surface for ``word`` tokens or
+      None for the rest) and returns one tag per token: ``proper_noun``,
+      ``verb`` or ``other``;
+    - ``verb_lemma(surface)`` gives the term a ``verb``-tagged token adds, or
+      None to add nothing.
+
+    Lemmas are cached per tagger, so ``verbs`` must not change after use.
+    """
 
     def __init__(self, verbs: frozenset[str] | None = None,
                  gazetteer: Sequence[tuple[str, ...]] | None = None):
         self.verbs = verbs if verbs is not None else load_verb_list()
         gazetteer = gazetteer if gazetteer is not None else load_gazetteer()
-        # Index phrases by first word, longest candidates first.
-        self._gaz_index: dict[str, list[tuple[str, ...]]] = {}
+        # Index phrases (as word lists) by first word, longest candidates first.
+        self._gaz_index: dict[str, list[list[str]]] = {}
         for phrase in gazetteer:
-            self._gaz_index.setdefault(phrase[0], []).append(phrase)
+            self._gaz_index.setdefault(phrase[0], []).append(list(phrase))
         for candidates in self._gaz_index.values():
             candidates.sort(key=len, reverse=True)
+        self._lemmas: dict[str, str | None] = {}
 
-    def verb_lemma(self, word: str) -> str | None:
-        """Map a word to its verb-list entry, trying -s/-ed/-ing stripping;
-        None when nothing matches."""
-        w = word.lower()
+    def _strip_to_verb(self, w: str) -> str | None:
         if w in self.verbs:
             return w
         candidates = []
@@ -179,48 +217,53 @@ class RuleTagger:
                 return candidate
         return None
 
-    @staticmethod
-    def _capitalized(surface: str) -> bool:
-        # Title-case style; all-caps words are treated as shouting, not names.
-        return surface[0].isupper() and not surface.isupper()
+    def _lemma(self, w: str) -> str | None:
+        """Cached verb lemma of a lowercase word."""
+        lemma = self._lemmas.get(w, _UNSEEN)
+        if lemma is _UNSEEN:
+            if len(self._lemmas) >= LEMMA_CACHE_SIZE:
+                self._lemmas.clear()
+            lemma = self._lemmas[w] = self._strip_to_verb(w)
+        return lemma
 
-    def tag(self, tokens: Sequence[Token]) -> list[tuple[Token, str]]:
-        n = len(tokens)
+    def verb_lemma(self, word: str) -> str | None:
+        """Map a word to its verb-list entry, trying -s/-ed/-ing stripping;
+        None when nothing matches."""
+        return self._lemma(word.lower())
+
+    def tag_lists(self, surfaces: Sequence[str], kinds: Sequence[str],
+                  words: Sequence[str | None]) -> list[str]:
+        n = len(words)
         tags = [OTHER] * n
 
         # Gazetteer pass: mark every token of a matched phrase as proper noun.
-        lowered = [t.surface.lower() if t.kind == WORD else None for t in tokens]
-        for i in range(n):
-            word = lowered[i]
-            if word is None:
-                continue
-            for phrase in self._gaz_index.get(word, ()):
+        gaz_index = self._gaz_index
+        for i, word in enumerate(words):
+            for phrase in gaz_index.get(word, ()):
                 end = i + len(phrase)
-                if end <= n and all(lowered[i + k] == phrase[k] for k in range(len(phrase))):
-                    for j in range(i, end):
-                        tags[j] = PROPER_NOUN
+                if words[i:end] == phrase:
+                    tags[i:end] = [PROPER_NOUN] * len(phrase)
                     break
 
-        # Capitalization pass, skipping sentence-initial words.
+        # Capitalization pass, skipping sentence-initial words, then the verb
+        # lookup on whatever is left.  Title-case words are names; all-caps
+        # words are shouting.
         sentence_start = True
-        for i, token in enumerate(tokens):
-            if token.kind == PUNCT:
-                if _SENTENCE_END.search(token.surface):
-                    sentence_start = True
-                continue
-            if token.kind != WORD:
-                continue
-            if tags[i] != PROPER_NOUN and not sentence_start and self._capitalized(token.surface):
-                tags[i] = PROPER_NOUN
-            sentence_start = False
+        for i, kind in enumerate(kinds):
+            if kind == WORD:
+                if tags[i] == OTHER:
+                    surface = surfaces[i]
+                    if not sentence_start and surface[0].isupper() and not surface.isupper():
+                        tags[i] = PROPER_NOUN
+                    elif self._lemma(words[i]) is not None:
+                        tags[i] = VERB
+                sentence_start = False
+            elif kind == PUNCT and _SENTENCE_END.search(surfaces[i]):
+                sentence_start = True
+        return tags
 
-        # Verb pass on whatever is left.
-        for i, token in enumerate(tokens):
-            if token.kind == WORD and tags[i] == OTHER:
-                if self.verb_lemma(token.surface) is not None:
-                    tags[i] = VERB
-
-        return list(zip(tokens, tags))
+    def tag(self, tokens: Sequence[Token]) -> list[tuple[Token, str]]:
+        return list(zip(tokens, self.tag_lists(*_token_lists(tokens))))
 
 
 def tag_pos(tokens: Sequence[Token], tagger: RuleTagger | None = None) -> list[tuple[Token, str]]:
@@ -228,13 +271,12 @@ def tag_pos(tokens: Sequence[Token], tagger: RuleTagger | None = None) -> list[t
     return (tagger or _default_tagger()).tag(tokens)
 
 
-def merge_proper_nouns(tagged: Sequence[tuple[Token, str]]) -> list[str]:
-    """Join maximal runs of adjacent proper-noun tokens into lowercase phrases."""
+def _proper_noun_phrases(surfaces: Sequence[str], tags: Sequence[str]) -> list[str]:
     phrases = []
     run: list[str] = []
-    for token, tag in tagged:
+    for surface, tag in zip(surfaces, tags):
         if tag == PROPER_NOUN:
-            run.append(token.surface.lower())
+            run.append(surface.lower())
         elif run:
             phrases.append(" ".join(run))
             run = []
@@ -243,29 +285,34 @@ def merge_proper_nouns(tagged: Sequence[tuple[Token, str]]) -> list[str]:
     return phrases
 
 
-def _terms_from_tokens(
-    tokens: Sequence[Token],
+def merge_proper_nouns(tagged: Sequence[tuple[Token, str]]) -> list[str]:
+    """Join maximal runs of adjacent proper-noun tokens into lowercase phrases."""
+    return _proper_noun_phrases([t.surface for t, _ in tagged], [tag for _, tag in tagged])
+
+
+def _terms(
+    text: str,
     extra_hashtags: Iterable[str],
     tagger: RuleTagger,
     stopwords: frozenset[str],
-) -> Counter:
-    terms: Counter = Counter()
-    tagged = tagger.tag(tokens)
-    for phrase in merge_proper_nouns(tagged):
-        if phrase not in stopwords:
-            terms[phrase] += 1
-    for token, tag in tagged:
+) -> tuple[Counter, list[str | None]]:
+    """The text's 5W terms, and its lowercased words for sentiment scoring.
+
+    Terms are counted in a fixed order: proper-noun phrases, verb lemmas,
+    hashtags in the text, then the record's hashtag field.  Hashtags are kept
+    verbatim (sans '#') and never stopword-filtered.
+    """
+    surfaces, kinds, words, hashtags = _scan(text)
+    tags = tagger.tag_lists(surfaces, kinds, words)
+    items = [p for p in _proper_noun_phrases(surfaces, tags) if p not in stopwords]
+    for surface, tag in zip(surfaces, tags):
         if tag == VERB:
-            lemma = tagger.verb_lemma(token.surface)
+            lemma = tagger.verb_lemma(surface)
             if lemma and lemma not in stopwords:
-                terms[lemma] += 1
-    # Hashtags are kept verbatim (sans '#') and never stopword-filtered.
-    for token in tokens:
-        if token.kind == HASHTAG:
-            terms[token.surface[1:].lower()] += 1
-    for tag_text in extra_hashtags:
-        terms[tag_text.lower()] += 1
-    return terms
+                items.append(lemma)
+    items += hashtags
+    items += [tag_text.lower() for tag_text in extra_hashtags]
+    return Counter(items), words
 
 
 def extract_5w_terms(
@@ -275,36 +322,30 @@ def extract_5w_terms(
 ) -> Counter:
     """Multiset of event descriptor terms: merged proper-noun phrases, verbs,
     gazetteer entities, and hashtags, with stopwords removed."""
-    return _terms_from_tokens(
-        tokenize(tweet.text),
+    return _terms(
+        tweet.text,
         tweet.hashtags,
         tagger or _default_tagger(),
         stopwords if stopwords is not None else _default_stopwords(),
-    )
+    )[0]
 
 
-def score_sentiment(tokens: Sequence[Token], lexicon: SentimentLexicon) -> float:
-    """Average lexicon valence over matched tokens with negation flipping
-    (3-token lookback) and intensifier scaling, clamped to [-2, +2].
-    Zero lexicon matches score exactly 0."""
+def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
+    entries, negators, intensifiers = lexicon.entries, lexicon.negators, lexicon.intensifiers
     total = 0.0
     matched = 0
-    for i, token in enumerate(tokens):
-        if token.kind != WORD:
-            continue
-        word = token.surface.lower()
-        valence = lexicon.entries.get(word)
+    for i, word in enumerate(words):
+        valence = entries.get(word)
         if valence is None:
             continue
         negated = False
         multiplier = 1.0
-        for prev in tokens[max(0, i - NEGATION_WINDOW):i]:
-            if prev.kind != WORD:
+        for prev in words[max(0, i - NEGATION_WINDOW):i]:
+            if prev is None:
                 continue
-            prev_word = prev.surface.lower()
-            if prev_word in lexicon.negators:
+            if prev in negators:
                 negated = True
-            multiplier *= lexicon.intensifiers.get(prev_word, 1.0)
+            multiplier *= intensifiers.get(prev, 1.0)
         adjusted = valence * multiplier
         if negated:
             adjusted = -adjusted
@@ -312,6 +353,13 @@ def score_sentiment(tokens: Sequence[Token], lexicon: SentimentLexicon) -> float
         matched += 1
     score = total / max(1, matched)
     return min(SENTIMENT_MAX, max(SENTIMENT_MIN, score))
+
+
+def score_sentiment(tokens: Sequence[Token], lexicon: SentimentLexicon) -> float:
+    """Average lexicon valence over matched tokens with negation flipping
+    (3-token lookback) and intensifier scaling, clamped to [-2, +2].
+    Zero lexicon matches score exactly 0."""
+    return _sentiment(_token_lists(tokens)[2], lexicon)
 
 
 @dataclass(frozen=True)
@@ -339,16 +387,15 @@ def build_tweet_vector(
     URLs that fail normalization are silently skipped; the vector's links
     only ever hold canonical URLs.
     """
-    tokens = tokenize(tweet.text)
-    terms = _terms_from_tokens(
-        tokens,
+    terms, words = _terms(
+        tweet.text,
         tweet.hashtags,
         tagger or _default_tagger(),
         stopwords if stopwords is not None else _default_stopwords(),
     )
     if not terms:
         return None
-    sentiment = score_sentiment(tokens, lexicon or _default_lexicon())
+    sentiment = _sentiment(words, lexicon or _default_lexicon())
     links = set()
     for raw in tweet.urls:
         try:

@@ -104,22 +104,32 @@ class ReplayStats:
         }
 
 
+# What datetime raises for a value it cannot represent: an epoch past the
+# platform's time_t or outside years 1..9999, or an ISO time whose shift to
+# UTC leaves that range.
+_OUT_OF_RANGE = (OverflowError, OSError, ValueError)
+
+
 def _parse_timestamp(value) -> datetime:
-    if isinstance(value, (int, float)):
+    # bool is an int subclass, but JSON true/false is not a timestamp.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         if not math.isfinite(value):
             raise BadTimestamp(f"non-finite epoch timestamp: {value!r}")
-        return datetime.fromtimestamp(value, tz=timezone.utc)
+        try:
+            return datetime.fromtimestamp(value, tz=timezone.utc)
+        except _OUT_OF_RANGE as exc:
+            raise BadTimestamp(f"epoch timestamp out of range: {value!r}") from exc
     if isinstance(value, str):
         text = value.strip()
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         try:
             parsed = datetime.fromisoformat(text)
-        except ValueError as exc:
-            raise BadTimestamp(f"unparseable creation_time: {value!r}") from exc
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
+            if parsed.tzinfo is None:
+                parsed = parsed.replace(tzinfo=timezone.utc)
+            return parsed.astimezone(timezone.utc)
+        except _OUT_OF_RANGE as exc:
+            raise BadTimestamp(f"unparseable or out-of-range creation_time: {value!r}") from exc
     raise BadTimestamp(f"creation_time has unsupported type: {value!r}")
 
 

@@ -61,3 +61,169 @@ def batch_centroid(vectors):
             sums[term] = sums.get(term, 0.0) + count
     n = len(vectors)
     return {term: total / n for term, total in sums.items()}
+
+
+# --- Feature extraction oracle ---------------------------------------------
+#
+# Feature extraction written the slow, obvious way: tokenize -> tag -> terms
+# -> sentiment, one token object per regex match, kinds from a startswith
+# chain, an uncached suffix-stripping verb lookup, and separate passes for
+# terms and sentiment.  The one-pass extractor in outcry.features must agree
+# with it exactly (tests/test_feature_oracle.py).
+
+import re
+from collections import Counter, namedtuple
+
+RefToken = namedtuple("RefToken", "surface position kind")
+
+_REF_TOKEN_RE = re.compile(
+    r"https?://\S+"
+    r"|#\w+"
+    r"|@\w+"
+    r"|\w+(?:'\w+)?"
+    r"|[^\w\s]+"
+)
+_REF_SENTENCE_END = re.compile(r"[.!?]")
+
+
+def reference_tokenize(text):
+    tokens = []
+    for i, match in enumerate(_REF_TOKEN_RE.finditer(text)):
+        surface = match.group()
+        first = surface[0]
+        if surface.startswith(("http://", "https://")):
+            kind = "url"
+        elif first == "#" and len(surface) > 1:
+            kind = "hashtag"
+        elif first == "@" and len(surface) > 1:
+            kind = "mention"
+        elif first.isalnum() or first == "_":
+            kind = "word"
+        else:
+            kind = "punctuation"
+        tokens.append(RefToken(surface, i, kind))
+    return tokens
+
+
+class ReferenceExtractor:
+    """Terms and sentiment of a tweet the slow, obvious way."""
+
+    def __init__(self, verbs, gazetteer, stopwords, lexicon):
+        self.verbs = verbs
+        self.gazetteer = {}
+        for phrase in gazetteer:
+            self.gazetteer.setdefault(phrase[0], []).append(phrase)
+        for candidates in self.gazetteer.values():
+            candidates.sort(key=len, reverse=True)
+        self.stopwords = stopwords
+        self.lexicon = lexicon
+
+    def verb_lemma(self, word):
+        w = word.lower()
+        if w in self.verbs:
+            return w
+        candidates = []
+        if w.endswith("ies") and len(w) > 4:
+            candidates.append(w[:-3] + "y")
+        if w.endswith("es") and len(w) > 3:
+            candidates.append(w[:-2])
+        if w.endswith("s") and len(w) > 2:
+            candidates.append(w[:-1])
+        if w.endswith("ed") and len(w) > 3:
+            candidates.extend((w[:-1], w[:-2], w[:-3]))
+        if w.endswith("ing") and len(w) > 4:
+            candidates.extend((w[:-3], w[:-3] + "e", w[:-4]))
+        for candidate in candidates:
+            if candidate in self.verbs:
+                return candidate
+        return None
+
+    def tag(self, tokens):
+        n = len(tokens)
+        tags = ["other"] * n
+        lowered = [t.surface.lower() if t.kind == "word" else None for t in tokens]
+        for i in range(n):
+            word = lowered[i]
+            if word is None:
+                continue
+            for phrase in self.gazetteer.get(word, ()):
+                end = i + len(phrase)
+                if end <= n and all(lowered[i + k] == phrase[k] for k in range(len(phrase))):
+                    for j in range(i, end):
+                        tags[j] = "proper_noun"
+                    break
+        sentence_start = True
+        for i, token in enumerate(tokens):
+            if token.kind == "punctuation":
+                if _REF_SENTENCE_END.search(token.surface):
+                    sentence_start = True
+                continue
+            if token.kind != "word":
+                continue
+            capitalized = token.surface[0].isupper() and not token.surface.isupper()
+            if tags[i] != "proper_noun" and not sentence_start and capitalized:
+                tags[i] = "proper_noun"
+            sentence_start = False
+        for i, token in enumerate(tokens):
+            if token.kind == "word" and tags[i] == "other":
+                if self.verb_lemma(token.surface) is not None:
+                    tags[i] = "verb"
+        return list(zip(tokens, tags))
+
+    def terms(self, text, extra_hashtags=()):
+        tokens = reference_tokenize(text)
+        tagged = self.tag(tokens)
+        terms = Counter()
+        run = []
+        phrases = []
+        for token, tag in tagged:
+            if tag == "proper_noun":
+                run.append(token.surface.lower())
+            elif run:
+                phrases.append(" ".join(run))
+                run = []
+        if run:
+            phrases.append(" ".join(run))
+        for phrase in phrases:
+            if phrase not in self.stopwords:
+                terms[phrase] += 1
+        for token, tag in tagged:
+            if tag == "verb":
+                lemma = self.verb_lemma(token.surface)
+                if lemma and lemma not in self.stopwords:
+                    terms[lemma] += 1
+        for token in tokens:
+            if token.kind == "hashtag":
+                terms[token.surface[1:].lower()] += 1
+        for tag_text in extra_hashtags:
+            terms[tag_text.lower()] += 1
+        return terms
+
+    def sentiment(self, text):
+        tokens = reference_tokenize(text)
+        lexicon = self.lexicon
+        total = 0.0
+        matched = 0
+        for i, token in enumerate(tokens):
+            if token.kind != "word":
+                continue
+            word = token.surface.lower()
+            valence = lexicon.entries.get(word)
+            if valence is None:
+                continue
+            negated = False
+            multiplier = 1.0
+            for prev in tokens[max(0, i - 3):i]:
+                if prev.kind != "word":
+                    continue
+                prev_word = prev.surface.lower()
+                if prev_word in lexicon.negators:
+                    negated = True
+                multiplier *= lexicon.intensifiers.get(prev_word, 1.0)
+            adjusted = valence * multiplier
+            if negated:
+                adjusted = -adjusted
+            total += adjusted
+            matched += 1
+        score = total / max(1, matched)
+        return min(2.0, max(-2.0, score))

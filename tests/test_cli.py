@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import outcry
 from outcry import InvalidConfig, RunConfig, run_detection
 from outcry.cli import main
 
@@ -273,3 +278,18 @@ class TestPipelineCounters:
         assert result.counters["skipped_language"] == 1
         assert result.counters["discarded_empty"] == 1
         assert result.state.admitted == 1
+
+
+class TestImports:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # Only the market command needs numpy; detect must not pay for it.
+        env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+        code = "import sys, outcry.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_lazy_package_attributes_still_reject_unknown_names(self):
+        # The market names load lazily (test_market imports them); any other
+        # missing name must still raise, or hasattr() would lie.
+        assert not hasattr(outcry, "no_such_name")

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from outcry import (
+    FeatureExtractor,
     RuleTagger,
     SentimentLexicon,
     build_tweet_vector,
@@ -255,3 +256,37 @@ class TestBuildTweetVector:
         tweet = make_tweet(text="Acme Riverside news", urls=["ftp://files.example/x"])
         vec = build_tweet_vector(tweet, lexicon, tagger=tagger, stopwords=stopwords)
         assert vec.links == frozenset()
+
+
+class TestCustomTagger:
+    def test_minimal_tagger_runs_through_extractor(self, lexicon, stopwords):
+        class SuffixTagger:
+            """The whole tagger contract: capitalized words are names, -ed
+            words are verbs whose lemma drops the suffix."""
+
+            def tag_lists(self, surfaces, kinds, words):
+                return [
+                    OTHER if w is None else PROPER_NOUN if s[0].isupper()
+                    else VERB if w.endswith("ed") else OTHER
+                    for s, w in zip(surfaces, words)
+                ]
+
+            def verb_lemma(self, surface):
+                return surface.lower()[:-2]
+
+        fx = FeatureExtractor(lexicon=lexicon, tagger=SuffixTagger(), stopwords=stopwords)
+        vec = fx.vector(make_tweet(text="Acme closed the Riverside Plant, terrible #acme"))
+        assert vec.terms == Counter({"acme": 2, "clos": 1, "riverside plant": 1})
+        assert vec.sentiment == -2.0
+
+
+class TestLemmaCache:
+    def test_bounded_cache_gives_same_lemmas(self, tagger, monkeypatch):
+        from outcry import features
+        words = ["arrested", "Closing", "zzz", "studies", "arrested", "ZZZ", "closes"]
+        expected = [tagger.verb_lemma(w) for w in words]
+        assert expected[0] is not None and expected[2] is None
+        monkeypatch.setattr(features, "LEMMA_CACHE_SIZE", 2)
+        small = RuleTagger()
+        assert [small.verb_lemma(w) for w in words] == expected
+        assert len(small._lemmas) <= 2

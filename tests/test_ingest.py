@@ -78,6 +78,19 @@ class TestParseTweetRecord:
         with pytest.raises(BadTimestamp):
             parse_tweet_record(record(ts="the other day"))
 
+    @pytest.mark.parametrize("ts", [
+        1e20,                          # past the platform's time_t: OverflowError
+        10**30,                        # an int past it too
+        -1e15,                         # year out of range: ValueError
+        "0001-01-01T00:00:00+01:00",   # shifts to UTC before year 1
+        "9999-12-31T23:59:59-01:00",   # shifts to UTC after year 9999
+        True,                          # bools are not epoch seconds
+        False,
+    ])
+    def test_out_of_range_or_bool_timestamp(self, ts):
+        with pytest.raises(BadTimestamp):
+            parse_tweet_record(record(ts=ts))
+
     def test_z_suffix_and_epoch_timestamps(self):
         a = parse_tweet_record(record(ts="2024-03-01T12:00:00Z"))
         b = parse_tweet_record(record(ts=1709294400))
@@ -168,6 +181,16 @@ class TestReplayStream:
         out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]), stats=stats))
         assert len(out) == 1
         assert stats.parse_errors == 1
+
+    def test_out_of_range_epoch_is_a_parse_error(self):
+        stats = ReplayStats()
+        lines = [record(posting_id="a", text="acme"),
+                 record(posting_id="huge", ts=1e20, text="acme"),
+                 record(posting_id="b", ts="2024-03-01T12:00:01Z", text="acme")]
+        out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]), stats=stats))
+        assert [t.posting_id for t in out] == ["a", "b"]
+        assert stats.parse_errors == 1
+        assert stats.total == 3
 
     def test_dedup_switch(self):
         stats = ReplayStats()
