@@ -28,13 +28,11 @@ from .controversy import (
 from .credibility import (
     AllowList,
     BadUrl,
-    LiveRedirects,
     NetworkRedirectResolver,
     RedirectCycle,
     RedirectMap,
     is_credible,
     normalize_url,
-    registrable_domain,
     unique_credible_links,
 )
 from .features import (
@@ -99,7 +97,7 @@ __all__ = [
     "ControversyParams", "ControversyReport", "CREATED", "DailyVolume",
     "DegenerateVector", "DetectionResult", "EvalResult", "EventCluster",
     "EventTruth", "FeatureExtractor", "GroundTruth", "InjectedEvent",
-    "InsufficientData", "InvalidConfig", "LiveRedirects", "MalformedRecord",
+    "InsufficientData", "InvalidConfig", "MalformedRecord",
     "MERGED", "MissingField", "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
     "RedirectCycle", "RedirectMap", "ReplayStats", "ReturnStats", "RuleTagger",
     "RunConfig", "ScenarioConfig", "SentimentLexicon", "SourceUnavailable",
@@ -109,7 +107,7 @@ __all__ = [
     "generate", "is_credible", "load_gazetteer", "load_price_csv",
     "load_stopwords", "load_verb_list", "matches_filter", "merge_proper_nouns",
     "newsworthiness", "normalize_url", "paired_returns", "parse_tweet_record",
-    "registrable_domain", "replay_stream", "report_payload", "return_histogram",
+    "replay_stream", "report_payload", "return_histogram",
     "return_stats", "run_detection", "score_sentiment", "tag_pos", "tokenize",
     "unique_credible_links",
 ]

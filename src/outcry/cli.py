@@ -72,7 +72,7 @@ def _events_table(payload: dict) -> str:
 def _detect_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.phrases:
-        cfg.phrases = [p.strip() for p in args.phrases.split(",") if p.strip()]
+        cfg.phrases = args.phrases
     if args.input:
         cfg.input = args.input
     if args.lateness_seconds is not None:

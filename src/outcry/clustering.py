@@ -28,6 +28,20 @@ class DegenerateVector(ValueError):
     """A vector (or centroid) with zero norm cannot be compared."""
 
 
+def require_finite(name: str, value) -> float:
+    """``value`` if it is a finite int or float; JSON true/false is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def require_int(name: str, value) -> int:
+    """``value`` if it is an int; JSON true/false is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ClusterParams:
     """Knobs for the online clusterer.
@@ -43,10 +57,10 @@ class ClusterParams:
     inactivity_expiry: timedelta = timedelta(hours=72)
 
     def __post_init__(self):
-        if not (self.merge_threshold > 0):
+        if require_finite("merge_threshold", self.merge_threshold) <= 0:
             raise ValueError("merge_threshold must be positive")
         self.merge_threshold = min(self.merge_threshold, 1.0)
-        if self.min_event_size < 1:
+        if require_int("min_event_size", self.min_event_size) < 1:
             raise ValueError("min_event_size must be >= 1")
         if self.inactivity_expiry <= timedelta(0):
             raise ValueError("inactivity_expiry must be positive")
@@ -107,11 +121,6 @@ class EventCluster:
         self.per_day_sentiment[day] = self.per_day_sentiment.get(day, 0.0) + vector.sentiment
         if vector.timestamp > self.last_updated:
             self.last_updated = vector.timestamp
-
-    def recompute_norm(self) -> float:
-        """Exact norm from the sums; debug guard against incremental drift."""
-        self._norm_sq = math.fsum(w * w for w in self.term_sums.values())
-        return self.norm
 
     def top_terms(self, limit: int = 5) -> list[tuple[str, int]]:
         ranked = sorted(self.term_sums.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -223,10 +232,6 @@ class ClusterState:
                     if not bucket:
                         del self._term_index[term]
         return len(doomed)
-
-    def recompute_norms(self) -> None:
-        for cluster in self.clusters.values():
-            cluster.recompute_norm()
 
     # -- checkpointing -----------------------------------------------------
 

@@ -7,40 +7,19 @@ fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import timedelta
+
+from .clustering import ClusterParams, require_finite, require_int
+from .controversy import ControversyParams
 
 
 class InvalidConfig(ValueError):
     """Config file or scenario config failed validation."""
 
 
-# external config key -> RunConfig attribute
-_KEY_MAP = {
-    "phrases": "phrases",
-    "input": "input",
-    "out": "out",
-    "state_out": "state_out",
-    "format": "format",
-    "lateness_seconds": "lateness_seconds",
-    "dedup": "dedup",
-    "language_filter": "language_filter",
-    "merge_threshold_D": "merge_threshold",
-    "min_event_size_N": "min_event_size",
-    "inactivity_expiry_hours": "inactivity_expiry_hours",
-    "burst_velocity_threshold": "burst_velocity_threshold",
-    "rank_weights": "rank_weights",
-    "news_count_gate": "news_count_gate",
-    "resolver_mode": "resolver_mode",
-    "network_timeout_ms": "network_timeout_ms",
-    "lexicon_path": "lexicon_path",
-    "stopwords_path": "stopwords_path",
-    "verbs_path": "verbs_path",
-    "gazetteer_path": "gazetteer_path",
-    "allowlist_path": "allowlist_path",
-    "redirect_map_path": "redirect_map_path",
-    "daily_summary_clusters": "daily_summary_clusters",
-}
+# RunConfig attributes whose config key differs from the attribute name
+_RENAMED = {"merge_threshold": "merge_threshold_D", "min_event_size": "min_event_size_N"}
 
 
 @dataclass
@@ -75,34 +54,42 @@ class RunConfig:
     def validate(self) -> None:
         if isinstance(self.phrases, str):
             self.phrases = [p.strip() for p in self.phrases.split(",") if p.strip()]
-        if self.format not in ("json", "table"):
-            raise InvalidConfig(f"format must be 'json' or 'table', got {self.format!r}")
-        if self.lateness_seconds < 0:
-            raise InvalidConfig("lateness_seconds must be >= 0")
-        if not (0 < self.merge_threshold):
-            raise InvalidConfig("merge_threshold_D must be positive")
-        if self.min_event_size < 1:
-            raise InvalidConfig("min_event_size_N must be >= 1")
-        if self.inactivity_expiry_hours <= 0:
-            raise InvalidConfig("inactivity_expiry_hours must be positive")
-        if self.burst_velocity_threshold <= 0:
-            raise InvalidConfig("burst_velocity_threshold must be positive")
-        weights = tuple(float(w) for w in self.rank_weights)
-        if len(weights) != 3 or any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-6:
-            raise InvalidConfig("rank_weights must be three nonnegative numbers summing to 1")
-        self.rank_weights = weights
-        if self.news_count_gate < 1:
-            raise InvalidConfig("news_count_gate must be >= 1")
-        if self.resolver_mode not in ("offline", "network"):
-            raise InvalidConfig("resolver_mode must be 'offline' or 'network'")
-        if self.network_timeout_ms <= 0:
-            raise InvalidConfig("network_timeout_ms must be positive")
-        if self.daily_summary_clusters < 1:
-            raise InvalidConfig("daily_summary_clusters must be >= 1")
+        try:
+            if self.format not in ("json", "table"):
+                raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
+            if require_finite("lateness_seconds", self.lateness_seconds) < 0:
+                raise ValueError("lateness_seconds must be >= 0")
+            if self.resolver_mode not in ("offline", "network"):
+                raise ValueError("resolver_mode must be 'offline' or 'network'")
+            if require_int("network_timeout_ms", self.network_timeout_ms) <= 0:
+                raise ValueError("network_timeout_ms must be positive")
+            if require_int("daily_summary_clusters", self.daily_summary_clusters) < 1:
+                raise ValueError("daily_summary_clusters must be >= 1")
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
+        self.cluster_params()
+        self.rank_weights = self.controversy_params().rank_weights
 
-    @property
-    def inactivity_expiry(self) -> timedelta:
-        return timedelta(hours=self.inactivity_expiry_hours)
+    def cluster_params(self) -> ClusterParams:
+        try:
+            hours = require_finite("inactivity_expiry_hours", self.inactivity_expiry_hours)
+            return ClusterParams(
+                merge_threshold=self.merge_threshold,
+                min_event_size=self.min_event_size,
+                inactivity_expiry=timedelta(hours=hours),
+            )
+        except (ValueError, OverflowError) as exc:
+            raise InvalidConfig(str(exc)) from exc
+
+    def controversy_params(self) -> ControversyParams:
+        try:
+            return ControversyParams(
+                burst_velocity_threshold=self.burst_velocity_threshold,
+                rank_weights=self.rank_weights,
+                news_count_gate=self.news_count_gate,
+            )
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -114,12 +101,7 @@ class RunConfig:
             if attr is None:
                 raise InvalidConfig(f"unknown config key: {key!r}")
             kwargs[attr] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidConfig):
-                raise
-            raise InvalidConfig(str(exc)) from exc
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -138,3 +120,7 @@ class RunConfig:
                 value = list(value)
             out[key] = value
         return out
+
+
+# config key -> RunConfig attribute
+_KEY_MAP = {_RENAMED.get(f.name, f.name): f.name for f in fields(RunConfig)}

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
-from .clustering import EventCluster
+from .clustering import EventCluster, require_finite, require_int
 from .credibility import AllowList, unique_credible_links
 
 BURST_BASELINE_DAYS = 7
@@ -26,15 +26,15 @@ class ControversyParams:
     news_count_gate: int = 1
 
     def __post_init__(self):
-        if not (self.burst_velocity_threshold > 0):
+        if require_finite("burst_velocity_threshold", self.burst_velocity_threshold) <= 0:
             raise ValueError("burst_velocity_threshold must be positive")
-        weights = tuple(float(w) for w in self.rank_weights)
+        weights = tuple(float(require_finite("rank_weights", w)) for w in self.rank_weights)
         if len(weights) != 3 or any(w < 0 for w in weights):
             raise ValueError("rank_weights must be three nonnegative numbers")
         if abs(sum(weights) - 1.0) > 1e-6:
             raise ValueError("rank_weights must sum to 1")
         self.rank_weights = weights
-        if self.news_count_gate < 1:
+        if require_int("news_count_gate", self.news_count_gate) < 1:
             raise ValueError("news_count_gate must be >= 1")
 
 

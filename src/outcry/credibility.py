@@ -2,13 +2,12 @@
 
 Short links are resolved through an offline redirect map by default so runs
 are deterministic; a network resolver with the same contract is available
-when explicitly enabled.  Credibility is an allowlist lookup on the URL's
-registrable domain.
+when explicitly enabled.  A URL is credible when its host, or a parent domain
+of it, is on the allowlist.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -26,7 +25,8 @@ class RedirectCycle(ValueError):
     """Redirect resolution looped or exceeded the hop limit."""
 
 
-def _read_lines(path) -> list[str]:
+def read_data_lines(path) -> list[str]:
+    """Non-blank lines of a data file, stripped, without ``#`` comment lines."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -36,44 +36,22 @@ def _read_lines(path) -> list[str]:
     return out
 
 
-def _bundled(name: str):
+def bundled_data(name: str):
+    """Path of a data file shipped in ``outcry/data``."""
     return resources.files("outcry").joinpath("data", name)
 
 
-def load_public_suffixes(path=None) -> frozenset[str]:
-    return frozenset(s.lower() for s in _read_lines(path or _bundled("public_suffixes.txt")))
-
-
-_DEFAULT_SUFFIXES: frozenset[str] | None = None
-
-
-def _default_suffixes() -> frozenset[str]:
-    global _DEFAULT_SUFFIXES
-    if _DEFAULT_SUFFIXES is None:
-        _DEFAULT_SUFFIXES = load_public_suffixes()
-    return _DEFAULT_SUFFIXES
-
-
-def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str:
-    """Reduce a hostname to its registrable domain ("www.npr.org" -> "npr.org").
-
-    Uses the bundled public-suffix snapshot; unknown TLDs fall back to the
-    last two labels.
-    """
-    suffixes = suffixes if suffixes is not None else _default_suffixes()
-    labels = host.lower().strip(".").split(".")
-    if len(labels) <= 1:
-        return host.lower()
-    for take in range(len(labels) - 1, 0, -1):
-        suffix = ".".join(labels[-take:])
-        if suffix in suffixes:
-            return ".".join(labels[-(take + 1):])
-    return ".".join(labels[-2:])
+def is_absolute_url(url: str) -> bool:
+    try:
+        parts = urlparse(url)
+    except ValueError:
+        return False
+    return bool(parts.scheme) and bool(parts.netloc)
 
 
 @dataclass(frozen=True)
 class AllowList:
-    """Set of credible registrable domains, loaded from a one-per-line file."""
+    """Set of credible domains, loaded from a one-per-line file."""
 
     domains: frozenset[str]
     loaded_from: str | None = None
@@ -87,8 +65,8 @@ class AllowList:
 
     @classmethod
     def load(cls, path=None) -> "AllowList":
-        src = path or _bundled("credible_domains.txt")
-        domains = frozenset(d.lower() for d in _read_lines(src))
+        src = path or bundled_data("credible_domains.txt")
+        domains = frozenset(d.lower() for d in read_data_lines(src))
         return cls(domains=domains, loaded_from=str(src))
 
 
@@ -100,29 +78,18 @@ class RedirectMap:
 
     def __post_init__(self):
         for target in self.mapping.values():
-            if not _is_absolute(target):
+            if not is_absolute_url(target):
                 raise ValueError(f"redirect targets must be absolute URLs, got {target!r}")
 
     @classmethod
     def load(cls, path) -> "RedirectMap":
         mapping = {}
-        for line in _read_lines(path):
+        for line in read_data_lines(path):
             short, _, final = line.partition("\t")
             if not final:
                 raise ValueError(f"redirect map line needs 'short<TAB>final': {line!r}")
             mapping[short.strip()] = final.strip()
         return cls(mapping=mapping)
-
-
-EMPTY_REDIRECTS = RedirectMap()
-
-
-def _is_absolute(url: str) -> bool:
-    try:
-        parts = urlparse(url)
-    except ValueError:
-        return False
-    return bool(parts.scheme) and bool(parts.netloc)
 
 
 def _canonicalize(url: str) -> str:
@@ -208,13 +175,6 @@ class _ResolvingCache(dict):
         return value if value is not None else default
 
 
-class LiveRedirects:
-    """RedirectMap-compatible wrapper over a network resolver."""
-
-    def __init__(self, resolver):
-        self.mapping = _ResolvingCache(resolver)
-
-
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         return None
@@ -224,11 +184,9 @@ class NetworkRedirectResolver:
     """Follows HTTP redirects to build the same short->final mapping the
     offline RedirectMap provides.  Off by default; enable via config."""
 
-    def __init__(self, timeout_ms: int = 3000, max_hops: int = MAX_REDIRECT_HOPS,
-                 max_in_flight: int = 8, opener=None):
+    def __init__(self, timeout_ms: int = 3000, max_hops: int = MAX_REDIRECT_HOPS, opener=None):
         self.timeout = timeout_ms / 1000.0
         self.max_hops = max_hops
-        self.max_in_flight = max_in_flight
         self._opener = opener or urllib.request.build_opener(_NoRedirect)
 
     def resolve(self, url: str) -> str:
@@ -255,28 +213,7 @@ class NetworkRedirectResolver:
             return current
         raise RedirectCycle(f"more than {self.max_hops} redirect hops from {url!r}")
 
-    def as_redirects(self) -> "LiveRedirects":
+    def as_redirects(self) -> RedirectMap:
         """Adapter so the pipeline can use this resolver wherever an offline
-        RedirectMap is accepted."""
-        return LiveRedirects(self)
-
-    def resolve_many(self, urls, cancel=None) -> RedirectMap:
-        """Resolve a batch with bounded concurrency; failures leave the URL
-        unmapped rather than aborting the batch.  Set the optional
-        ``cancel`` threading.Event to stop early with a partial map."""
-        mapping: dict[str, str] = {}
-        with concurrent.futures.ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            futures = {pool.submit(self.resolve, u): u for u in set(urls)}
-            for future in concurrent.futures.as_completed(futures):
-                if cancel is not None and cancel.is_set():
-                    for pending in futures:
-                        pending.cancel()
-                    break
-                source = futures[future]
-                try:
-                    final = future.result()
-                except (OSError, RedirectCycle, urllib.error.URLError):
-                    continue
-                if final != source:
-                    mapping[source] = final
-        return RedirectMap(mapping=mapping)
+        RedirectMap is accepted: links resolve one at a time, on first use."""
+        return RedirectMap(mapping=_ResolvingCache(self))

@@ -19,10 +19,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
-from importlib import resources
 from typing import Iterable, Sequence
 
 from . import credibility
+from .credibility import bundled_data, read_data_lines
 from .ingest import Tweet
 
 # Token kinds
@@ -99,32 +99,18 @@ def tokenize(text: str) -> list[Token]:
     return [Token(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))]
 
 
-def _read_data_lines(path) -> list[str]:
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(line)
-    return out
-
-
-def _bundled(name: str):
-    return resources.files("outcry").joinpath("data", name)
-
-
 def load_stopwords(path=None) -> frozenset[str]:
-    return frozenset(w.lower() for w in _read_data_lines(path or _bundled("stopwords.txt")))
+    return frozenset(w.lower() for w in read_data_lines(path or bundled_data("stopwords.txt")))
 
 
 def load_verb_list(path=None) -> frozenset[str]:
-    return frozenset(w.lower() for w in _read_data_lines(path or _bundled("verbs.txt")))
+    return frozenset(w.lower() for w in read_data_lines(path or bundled_data("verbs.txt")))
 
 
 def load_gazetteer(path=None) -> tuple[tuple[str, ...], ...]:
     """Entity phrases as tuples of lowercase words, e.g. ("new", "york")."""
     phrases = []
-    for line in _read_data_lines(path or _bundled("gazetteer.txt")):
+    for line in read_data_lines(path or bundled_data("gazetteer.txt")):
         words = tuple(line.lower().split())
         if words:
             phrases.append(words)
@@ -153,7 +139,7 @@ class SentimentLexicon:
         negators: set[str] = set()
         intensifiers: dict[str, float] = {}
         section = "entries"
-        for line in _read_data_lines(path or _bundled("sentiment_lexicon.txt")):
+        for line in read_data_lines(path or bundled_data("sentiment_lexicon.txt")):
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].lower()
                 continue

@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlparse
 
+from .credibility import is_absolute_url
+
 
 class IngestError(ValueError):
     """Base class for per-record ingest failures."""
@@ -67,11 +69,6 @@ class PhraseFilter:
         if any(not p.strip() for p in cleaned):
             raise ValueError("phrases must not be empty or all-whitespace")
         object.__setattr__(self, "phrases", cleaned)
-
-    @classmethod
-    def from_csv(cls, spec: str) -> "PhraseFilter":
-        """Build from a comma-separated spec like ``"starbucks, sbux"``."""
-        return cls([p.strip() for p in spec.split(",") if p.strip()])
 
 
 @dataclass
@@ -133,14 +130,6 @@ def _parse_timestamp(value) -> datetime:
     raise BadTimestamp(f"creation_time has unsupported type: {value!r}")
 
 
-def _valid_absolute_url(url: str) -> bool:
-    try:
-        parts = urlparse(url)
-    except ValueError:
-        return False
-    return bool(parts.scheme) and bool(parts.netloc)
-
-
 def parse_tweet_record(line: str) -> Tweet:
     """Parse one JSONL record into a :class:`Tweet`.
 
@@ -169,7 +158,7 @@ def parse_tweet_record(line: str) -> Tweet:
     urls_raw = obj.get("urls") or []
     if not isinstance(urls_raw, list):
         raise MalformedRecord("urls must be an array")
-    urls = tuple(u for u in urls_raw if isinstance(u, str) and _valid_absolute_url(u))
+    urls = tuple(u for u in urls_raw if isinstance(u, str) and is_absolute_url(u))
 
     tags_raw = obj.get("hashtags") or []
     if not isinstance(tags_raw, list):

@@ -9,14 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from .clustering import ClusterParams, ClusterState
+from .clustering import ClusterState
 from .config import RunConfig
-from .controversy import (
-    ControversyParams,
-    ControversyReport,
-    DailyVolume,
-    classify_and_rank,
-)
+from .controversy import ControversyReport, DailyVolume, classify_and_rank
 from .credibility import AllowList, NetworkRedirectResolver, RedirectMap
 from .features import (
     FeatureExtractor,
@@ -65,13 +60,10 @@ def run_detection(source, cfg: RunConfig) -> DetectionResult:
     Feature extraction is pure per tweet; cluster assignment is the single
     serialized step, matching the single-writer contract of ClusterState.
     """
+    state = ClusterState(cfg.cluster_params())
+    params = cfg.controversy_params()
     extractor = build_extractor(cfg)
     allowlist = AllowList.load(cfg.allowlist_path)
-    state = ClusterState(ClusterParams(
-        merge_threshold=cfg.merge_threshold,
-        min_event_size=cfg.min_event_size,
-        inactivity_expiry=cfg.inactivity_expiry,
-    ))
     volume = DailyVolume()
     replay_stats = ReplayStats()
     counters = {"skipped_language": 0, "discarded_empty": 0}
@@ -101,11 +93,6 @@ def run_detection(source, cfg: RunConfig) -> DetectionResult:
     today = volume.last_day()
     reports: list[ControversyReport] = []
     if today is not None:
-        params = ControversyParams(
-            burst_velocity_threshold=cfg.burst_velocity_threshold,
-            rank_weights=cfg.rank_weights,
-            news_count_gate=cfg.news_count_gate,
-        )
         reports = classify_and_rank(state.candidate_events(), volume,
                                     allowlist, params, today)
 

@@ -35,6 +35,17 @@ SCENARIO = {
 }
 
 
+CONFIG_KEYS = {
+    "phrases", "input", "out", "state_out", "format", "lateness_seconds", "dedup",
+    "language_filter", "merge_threshold_D", "min_event_size_N", "inactivity_expiry_hours",
+    "burst_velocity_threshold", "rank_weights", "news_count_gate", "resolver_mode",
+    "network_timeout_ms", "lexicon_path", "stopwords_path", "verbs_path", "gazetteer_path",
+    "allowlist_path", "redirect_map_path", "daily_summary_clusters",
+}
+
+NAN = float("nan")
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
@@ -64,6 +75,9 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             RunConfig.from_dict({"merge_threshold_D": 0.7, "oops": 1})
+        # a renamed setting is known only by its config key
+        with pytest.raises(InvalidConfig):
+            RunConfig.from_dict({"merge_threshold": 0.5})
 
     def test_external_key_names(self):
         cfg = RunConfig.from_dict({
@@ -88,6 +102,24 @@ class TestRunConfig:
         again = RunConfig.from_dict(cfg.as_dict())
         assert again.merge_threshold == 0.6
         assert again.phrases == ["acme"]
+
+        # Every key the README documents, each set away from its default.
+        custom = RunConfig.from_dict({
+            "phrases": ["acme", "acmecorp"], "input": "in.jsonl", "out": "report.json",
+            "state_out": "state.json", "format": "table", "lateness_seconds": 60.0,
+            "dedup": True, "language_filter": None, "merge_threshold_D": 0.5,
+            "min_event_size_N": 7, "inactivity_expiry_hours": 24.0,
+            "burst_velocity_threshold": 3.0, "rank_weights": [0.5, 0.25, 0.25],
+            "news_count_gate": 2, "resolver_mode": "network", "network_timeout_ms": 500,
+            "lexicon_path": "lex.txt", "stopwords_path": "stop.txt", "verbs_path": "verbs.txt",
+            "gazetteer_path": "gaz.txt", "allowlist_path": "allow.txt",
+            "redirect_map_path": "redirects.tsv", "daily_summary_clusters": 3,
+        })
+        exported = custom.as_dict()
+        defaults = RunConfig().as_dict()
+        assert set(exported) == set(defaults) == CONFIG_KEYS
+        assert all(exported[key] != defaults[key] for key in CONFIG_KEYS)
+        assert RunConfig.from_dict(exported) == custom
 
 
 class TestDetectCommand:
@@ -278,6 +310,43 @@ class TestPipelineCounters:
         assert result.counters["skipped_language"] == 1
         assert result.counters["discarded_empty"] == 1
         assert result.state.admitted == 1
+
+
+@pytest.mark.parametrize("setting", [
+    {"lateness_seconds": NAN},
+    {"inactivity_expiry_hours": NAN},
+    {"inactivity_expiry_hours": float("inf")},
+    {"burst_velocity_threshold": NAN},
+    {"daily_summary_clusters": NAN},
+    {"daily_summary_clusters": 2.5},
+    {"rank_weights": [NAN, 0.5, 0.5]},
+    {"min_event_size_N": NAN},
+    {"min_event_size_N": True},
+    {"merge_threshold_D": True},
+    {"news_count_gate": NAN},
+    {"network_timeout_ms": 1.5},
+], ids=lambda setting: json.dumps(setting))
+def test_non_finite_or_wrong_type_setting_is_config_error(tmp_path, setting):
+    # json.dumps writes NaN/Infinity, which json.load reads back.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phrases": ["acmecorp"], **setting}))
+    stream = tmp_path / "in.jsonl"
+    stream.write_text("".join(
+        json.dumps({"posting_id": f"t{i}", "creation_time": f"2024-03-0{1 + i % 3}T10:00:00Z",
+                    "text": "acmecorp plant fire", "language": "en"}) + "\n"
+        for i in range(9)
+    ))
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+    ran = subprocess.run(
+        [sys.executable, "-m", "outcry.cli", "detect", "--config", str(config),
+         "--input", str(stream), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert ran.returncode == 1, ran.stderr
+    assert "Traceback" not in ran.stderr
+    assert ran.stderr.startswith("error: ")
+    assert not out.exists()
 
 
 class TestImports:

@@ -8,7 +8,6 @@ from outcry import (
     RedirectMap,
     is_credible,
     normalize_url,
-    registrable_domain,
     unique_credible_links,
 )
 
@@ -65,20 +64,6 @@ class TestNormalizeUrl:
         for raw in cases:
             once = normalize_url(raw, redirects)
             assert normalize_url(once, redirects) == once
-
-
-class TestRegistrableDomain:
-    def test_strips_subdomains(self):
-        assert registrable_domain("www.npr.org") == "npr.org"
-
-    def test_multi_label_suffix(self):
-        assert registrable_domain("news.bbc.co.uk") == "bbc.co.uk"
-
-    def test_unknown_tld_falls_back_to_two_labels(self):
-        assert registrable_domain("deep.sub.something.weirdtld") == "something.weirdtld"
-
-    def test_bare_domain_unchanged(self):
-        assert registrable_domain("nytimes.com") == "nytimes.com"
 
 
 class TestIsCredible:
@@ -186,24 +171,6 @@ class TestNetworkResolver:
         with pytest.raises(RedirectCycle):
             resolver.resolve("https://a.example/")
 
-    def test_resolve_many_builds_redirect_map(self):
-        resolver = NetworkRedirectResolver(opener=_FakeOpener({
-            "https://sho.rt/a": "https://news.example/story",
-        }))
-        redirect_map = resolver.resolve_many(["https://sho.rt/a", "https://plain.example/"])
-        assert redirect_map.mapping == {"https://sho.rt/a": "https://news.example/story"}
-
-    def test_resolve_many_is_cancelable(self):
-        import threading
-
-        cancel = threading.Event()
-        cancel.set()
-        resolver = NetworkRedirectResolver(opener=_FakeOpener({
-            "https://sho.rt/a": "https://news.example/story",
-        }))
-        redirect_map = resolver.resolve_many(["https://sho.rt/a"], cancel=cancel)
-        assert redirect_map.mapping == {}
-
     def test_live_redirects_plug_into_normalize_url(self):
         resolver = NetworkRedirectResolver(opener=_FakeOpener({
             "https://sho.rt/a": "https://News.example/Story#frag",
@@ -216,10 +183,8 @@ class TestNetworkResolver:
 
     def test_live_redirects_degrade_on_failure(self):
         class Exploding:
-            def resolve(self, url):
+            def open(self, request, timeout=None):
                 raise OSError("network down")
 
-        from outcry import LiveRedirects
-
-        live = LiveRedirects(Exploding())
+        live = NetworkRedirectResolver(opener=Exploding()).as_redirects()
         assert normalize_url("https://plain.example/x", live) == "https://plain.example/x"

@@ -114,10 +114,6 @@ class TestPhraseFilter:
         with pytest.raises(ValueError):
             PhraseFilter(["ok", "   "])
 
-    def test_from_csv(self):
-        f = PhraseFilter.from_csv("Starbucks, SBUX")
-        assert f.phrases == ("starbucks", "sbux")
-
     def test_text_substring_match(self):
         f = PhraseFilter(["starbucks"])
         assert matches_filter(make_tweet(text="I love Starbucks coffee"), f)
