@@ -63,6 +63,18 @@ from .ingest import (
     parse_tweet_record,
     replay_stream,
 )
+from .market import (
+    InsufficientData,
+    PriceSeries,
+    ReturnStats,
+    ZeroVariance,
+    daily_returns,
+    event_day_zscore,
+    load_price_csv,
+    paired_returns,
+    return_histogram,
+    return_stats,
+)
 from .pipeline import DetectionResult, report_payload, run_detection
 from .synth import (
     EvalResult,
@@ -75,22 +87,6 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-# The market statistics need numpy, which detection never uses; they load on
-# first access (PEP 562) so ``import outcry`` stays numpy-free.
-_MARKET_NAMES = frozenset({
-    "InsufficientData", "PriceSeries", "ReturnStats", "ZeroVariance",
-    "daily_returns", "event_day_zscore", "load_price_csv", "paired_returns",
-    "return_histogram", "return_stats",
-})
-
-
-def __getattr__(name):
-    if name in _MARKET_NAMES:
-        from . import market
-        return getattr(market, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AllowList", "BadTimestamp", "BadUrl", "ClusterParams", "ClusterState",

@@ -15,6 +15,16 @@ from datetime import date
 
 from .clustering import ClusterState
 from .config import InvalidConfig, RunConfig
+from .market import (
+    InsufficientData,
+    ZeroVariance,
+    daily_returns,
+    event_day_zscore,
+    load_price_csv,
+    paired_returns,
+    return_histogram,
+    return_stats,
+)
 from .pipeline import SCHEMA_VERSION, _round_floats, report_payload, run_detection
 from .synth import GroundTruth, ScenarioConfig, evaluate, generate
 from .ingest import SourceUnavailable
@@ -97,6 +107,9 @@ def cmd_detect(args) -> int:
     except InvalidConfig as exc:
         _fail(str(exc))
         return EXIT_CONFIG
+    except OSError as exc:
+        _fail(f"cannot read config: {exc}")
+        return EXIT_INPUT
     if not str(cfg.input).startswith("tcp://") and not os.path.exists(cfg.input):
         _fail(f"input not found: {cfg.input}")
         return EXIT_INPUT
@@ -116,18 +129,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_market(args) -> int:
-    # Imported here so the other commands never load numpy.
-    from .market import (
-        InsufficientData,
-        ZeroVariance,
-        daily_returns,
-        event_day_zscore,
-        load_price_csv,
-        paired_returns,
-        return_histogram,
-        return_stats,
-    )
-
     try:
         series = load_price_csv(args.prices)
     except OSError as exc:

@@ -18,6 +18,16 @@ class InvalidConfig(ValueError):
     """Config file or scenario config failed validation."""
 
 
+def read_config_file(path):
+    """The JSON value in ``path``. A file that is not UTF-8 JSON is an
+    ``InvalidConfig``; a file that cannot be read raises ``OSError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
+
+
 # RunConfig attributes whose config key differs from the attribute name
 _RENAMED = {"merge_threshold": "merge_threshold_D", "min_event_size": "min_event_size_N"}
 
@@ -55,6 +65,16 @@ class RunConfig:
         if isinstance(self.phrases, str):
             self.phrases = [p.strip() for p in self.phrases.split(",") if p.strip()]
         try:
+            if not (isinstance(self.phrases, (list, tuple))
+                    and all(isinstance(p, str) for p in self.phrases)):
+                raise ValueError(f"phrases must be a list of strings or a comma-separated string, "
+                                 f"got {self.phrases!r}")
+            for name in _OPTIONAL_STRINGS:
+                value = getattr(self, name)
+                if value is not None and not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string or null, got {value!r}")
+            if not isinstance(self.dedup, bool):
+                raise ValueError(f"dedup must be true or false, got {self.dedup!r}")
             if self.format not in ("json", "table"):
                 raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
             if require_finite("lateness_seconds", self.lateness_seconds) < 0:
@@ -105,12 +125,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def as_dict(self) -> dict:
         out = {}
@@ -124,3 +139,5 @@ class RunConfig:
 
 # config key -> RunConfig attribute
 _KEY_MAP = {_RENAMED.get(f.name, f.name): f.name for f in fields(RunConfig)}
+# settings that are a string or null: paths and the language prefix
+_OPTIONAL_STRINGS = tuple(f.name for f in fields(RunConfig) if f.type == "str | None")

@@ -22,6 +22,10 @@ from urllib.parse import urlparse
 
 from .credibility import is_absolute_url
 
+# Seconds a tcp:// source may take to connect or stay silent before the run
+# fails with SourceUnavailable.
+TCP_TIMEOUT_S = 30.0
+
 
 class IngestError(ValueError):
     """Base class for per-record ingest failures."""
@@ -40,7 +44,7 @@ class BadTimestamp(IngestError):
 
 
 class SourceUnavailable(OSError):
-    """The stream source cannot be opened."""
+    """The stream source cannot be opened, or stops delivering lines."""
 
 
 @dataclass(frozen=True)
@@ -205,12 +209,14 @@ def _open_source(source):
             rest = spec[len("tcp://"):]
             host, _, port = rest.rpartition(":")
             try:
-                conn = socket.create_connection((host, int(port)), timeout=30)
+                conn = socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S)
             except (OSError, ValueError) as exc:
                 raise SourceUnavailable(f"cannot connect to {spec}: {exc}") from exc
             reader = conn.makefile("r", encoding="utf-8", errors="replace")
             try:
                 yield reader
+            except OSError as exc:  # a silent stream times out; a peer may reset
+                raise SourceUnavailable(f"lost {spec}: {exc}") from exc
             finally:
                 reader.close()
                 conn.close()

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from datetime import date
 
-import numpy as np
-
 
 class InsufficientData(ValueError):
     """Not enough points for the requested computation."""
@@ -71,14 +69,13 @@ class ReturnStats:
 
 
 def return_stats(returns) -> ReturnStats:
-    values = np.asarray(list(returns), dtype=float)
-    if values.size < 2:
+    values = [float(r) for r in returns]
+    n = len(values)
+    if n < 2:
         raise InsufficientData("need at least 2 returns for sample moments")
-    return ReturnStats(
-        mean=float(values.mean()),
-        std=float(values.std(ddof=1)),
-        n=int(values.size),
-    )
+    mean = math.fsum(values) / n
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
+    return ReturnStats(mean=mean, std=std, n=n)
 
 
 def event_day_zscore(r: float, stats: ReturnStats) -> float:

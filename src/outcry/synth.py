@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 
-from .config import InvalidConfig
+from .clustering import require_finite, require_int
+from .config import InvalidConfig, read_config_file
 from .credibility import AllowList
 from .features import SentimentLexicon
 
@@ -96,66 +97,66 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise InvalidConfig("scenario must be a JSON object")
-        known = {
-            "seed", "days", "ambient_rate", "ambient_topics", "injected_events",
-            "vocabulary_noise", "entity", "ambient_days", "ambient_entity_rate",
-            "start_date",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown scenario keys: {sorted(unknown)}")
-        try:
-            events = []
-            for entry in data.get("injected_events", []):
-                event_known = {
-                    "start_day", "duration_days", "peak_rate", "term_pool",
-                    "sentiment_range", "credible_link_count",
-                    "noncredible_link_count", "expected_controversial",
-                }
-                extra = set(entry) - event_known
-                if extra:
-                    raise InvalidConfig(f"unknown injected_event keys: {sorted(extra)}")
-                events.append(InjectedEvent(
-                    start_day=int(entry["start_day"]),
-                    duration_days=int(entry["duration_days"]),
-                    peak_rate=int(entry["peak_rate"]),
-                    term_pool=tuple(entry["term_pool"]),
-                    sentiment_range=tuple(float(x) for x in entry["sentiment_range"]),
-                    credible_link_count=int(entry.get("credible_link_count", 1)),
-                    noncredible_link_count=int(entry.get("noncredible_link_count", 0)),
-                    expected_controversial=bool(entry.get("expected_controversial", True)),
-                ))
-            cfg = cls(
-                seed=int(data["seed"]),
-                days=int(data["days"]),
-                ambient_rate=int(data.get("ambient_rate", 0)),
-                ambient_topics=tuple(tuple(pool) for pool in data.get("ambient_topics", [])),
-                injected_events=tuple(events),
-                vocabulary_noise=float(data.get("vocabulary_noise", 0.0)),
-                entity=str(data.get("entity", "AcmeCorp")),
-                ambient_days=(None if data.get("ambient_days") is None
-                              else int(data["ambient_days"])),
-                ambient_entity_rate=float(data.get("ambient_entity_rate", 1.0)),
-                start_date=(date.fromisoformat(data["start_date"])
-                            if "start_date" in data else DEFAULT_START_DATE),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidConfig):
-                raise
-            raise InvalidConfig(f"bad scenario config: {exc}") from exc
+        cfg = _from_json(cls, data, "scenario")
         cfg.validate()
         return cfg
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
+
+
+def _check(kind, description: str):
+    """A check that passes a value of type ``kind`` and rejects any other."""
+    def check(name: str, value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {description}, got {value!r}")
+        return value
+    return check
+
+
+_list, _string = _check(list, "a list"), _check(str, "a string")
+
+
+def _strings(name: str, value) -> tuple[str, ...]:
+    return tuple(_string(name, item) for item in _list(name, value))
+
+
+def _number_pair(name: str, value) -> tuple[float, float]:
+    if len(_list(name, value)) != 2:
+        raise ValueError(f"{name} must be two numbers, got {value!r}")
+    return tuple(float(require_finite(name, x)) for x in value)
+
+
+# JSON value -> field value, keyed by the field's declared type
+_FROM_JSON = {
+    "int": require_int,
+    "int | None": lambda name, value: None if value is None else require_int(name, value),
+    "float": lambda name, value: float(require_finite(name, value)),
+    "bool": _check(bool, "true or false"),
+    "str": _string,
+    "date": lambda name, value: date.fromisoformat(_string(name, value)),
+    "tuple[str, ...]": _strings,
+    "tuple[float, float]": _number_pair,
+    "tuple[tuple[str, ...], ...]":
+        lambda name, value: tuple(_strings(name, pool) for pool in _list(name, value)),
+    "tuple[InjectedEvent, ...]":
+        lambda name, value: tuple(_from_json(InjectedEvent, entry, "injected_event")
+                                  for entry in _list(name, value)),
+}
+
+
+def _from_json(cls, data, what: str):
+    """A ``cls`` built from a JSON object keyed by its field names. Each value
+    must have its field's declared type; a missing key takes the default."""
+    types = {f.name: f.type for f in fields(cls)}
+    try:
+        unknown = set(_check(dict, "a JSON object")(what, data)) - set(types)
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        return cls(**{key: _FROM_JSON[types[key]](key, value) for key, value in data.items()})
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+        raise InvalidConfig(f"bad {what}: {exc}") from exc
 
 
 @dataclass

@@ -1,14 +1,16 @@
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
 import outcry
-from outcry import InvalidConfig, RunConfig, run_detection
+from outcry import InvalidConfig, RunConfig, ingest, run_detection
 from outcry.cli import main
 
 from test_market import calibrated_returns
@@ -149,6 +151,34 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(tmp_path / "nope.jsonl"),
                      "--phrases", "acme"])
         assert code == 2
+
+    def test_silent_tcp_stream_exits_2_without_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ingest, "TCP_TIMEOUT_S", 0.5)
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+        finished = threading.Event()
+
+        def serve():
+            conn, _ = server.accept()
+            conn.sendall(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
+                                     "text": "acmecorp plant fire"}).encode() + b"\n")
+            finished.wait(10)  # then stay silent until detect gives up
+            conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        out = tmp_path / "report.json"
+        try:
+            code = main(["detect", "--input", f"tcp://127.0.0.1:{port}",
+                         "--phrases", "acmecorp", "--out", str(out)])
+        finally:
+            finished.set()
+            thread.join(timeout=5)
+            server.close()
+        assert not thread.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_phrases_is_config_error(self, tmp_path):
         stream = tmp_path / "in.jsonl"
@@ -325,6 +355,12 @@ class TestPipelineCounters:
     {"merge_threshold_D": True},
     {"news_count_gate": NAN},
     {"network_timeout_ms": 1.5},
+    {"phrases": 5},
+    {"phrases": ["acmecorp", 5]},
+    {"language_filter": 5},
+    {"lexicon_path": 5},
+    {"state_out": ["s.json"]},
+    {"dedup": "no"},
 ], ids=lambda setting: json.dumps(setting))
 def test_non_finite_or_wrong_type_setting_is_config_error(tmp_path, setting):
     # json.dumps writes NaN/Infinity, which json.load reads back.
@@ -349,16 +385,43 @@ def test_non_finite_or_wrong_type_setting_is_config_error(tmp_path, setting):
     assert not out.exists()
 
 
-class TestImports:
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # Only the market command needs numpy; detect must not pay for it.
-        env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
-        code = "import sys, outcry.cli; print('numpy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+@pytest.mark.parametrize("command, kind, expected", [
+    ("detect", "missing", 2),
+    ("detect", "directory", 2),
+    ("detect", "not UTF-8", 1),
+    ("synth", "not UTF-8", 1),
+])
+def test_unreadable_config_file_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                            command, kind, expected):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "not UTF-8":
+        config.write_bytes(b'{"entity": "Caf\xe9"}')
+    stream = tmp_path / "in.jsonl"
+    stream.write_text("")
+    out = tmp_path / "out.json"
+    if command == "detect":
+        argv = ["detect", "--config", str(config), "--input", str(stream), "--phrases", "acme"]
+    else:
+        argv = ["synth", "--scenario", str(config)]
+    assert main(argv + ["--out", str(out)]) == expected
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
-    def test_lazy_package_attributes_still_reject_unknown_names(self):
-        # The market names load lazily (test_market imports them); any other
-        # missing name must still raise, or hasattr() would lie.
-        assert not hasattr(outcry, "no_such_name")
+
+class TestImports:
+    def test_market_runs_with_numpy_blocked(self, tmp_path):
+        # numpy is only a test oracle: the package must import and run without it.
+        prices = tmp_path / "prices.csv"
+        event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+        argv = ["market", "--prices", str(prices), "--event-date", event_day.isoformat(),
+                "--out", str(tmp_path / "market.json")]
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "import outcry, outcry.cli\n"
+                f"raise SystemExit(outcry.cli.main({argv!r}))")
+        env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+        ran = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr
+        assert json.loads((tmp_path / "market.json").read_text())["stats"]["n"] == 4

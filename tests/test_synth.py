@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from datetime import date
 from types import SimpleNamespace
 
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from outcry import (
     FeatureExtractor,
     GroundTruth,
+    InjectedEvent,
     InvalidConfig,
     ScenarioConfig,
     evaluate,
     generate,
     parse_tweet_record,
 )
+from outcry.cli import main
 from outcry.synth import EventTruth
 
 
@@ -62,9 +66,57 @@ class TestScenarioConfig:
                 "term_pool": ["a"], "sentiment_range": [-1, 0],
             }])
 
+    def test_every_key_loads_with_its_declared_type(self):
+        cfg = scenario(entity="Globex", start_date="2024-01-05", ambient_days=None,
+                       ambient_entity_rate=1, vocabulary_noise=0, injected_events=[{
+                           "start_day": 0, "duration_days": 1, "peak_rate": 1,
+                           "term_pool": ["plant fire"], "sentiment_range": [-1, 0],
+                           "credible_link_count": 0, "noncredible_link_count": 2,
+                           "expected_controversial": False,
+                       }])
+        assert (cfg.entity, cfg.start_date, cfg.ambient_days) == ("Globex", date(2024, 1, 5), None)
+        assert cfg.ambient_topics == (("giftcard", "rewards", "promo"),
+                                      ("barista", "latte", "espresso"))
+        assert type(cfg.ambient_entity_rate) is type(cfg.vocabulary_noise) is float
+        assert cfg.injected_events == (InjectedEvent(
+            start_day=0, duration_days=1, peak_rate=1, term_pool=("plant fire",),
+            sentiment_range=(-1.0, 0.0), credible_link_count=0, noncredible_link_count=2,
+            expected_controversial=False),)
+
     def test_ambient_needs_topics(self):
         with pytest.raises(InvalidConfig):
             ScenarioConfig.from_dict({"seed": 1, "days": 1, "ambient_rate": 5})
+
+
+SCENARIO = {
+    "seed": 1, "days": 3, "ambient_rate": 2, "ambient_topics": [["promo", "latte"]],
+    "injected_events": [{"start_day": 1, "duration_days": 1, "peak_rate": 3,
+                         "term_pool": ["plant fire"], "sentiment_range": [-2.0, -1.0]}],
+}
+
+
+@pytest.mark.parametrize("override", [
+    {"seed": True},
+    {"seed": "7"},
+    {"days": 2.7},
+    {"entity": 5},
+    {"vocabulary_noise": True},
+    {"ambient_topics": "ab"},
+    {"event": {"expected_controversial": "false"}},
+    {"event": {"term_pool": "cup"}},
+    {"event": {"peak_rate": 2.9}},
+    {"event": {"sentiment_range": [-2]}},
+], ids=json.dumps)
+def test_wrongly_typed_scenario_value_exits_1(tmp_path, capsys, override):
+    scenario = dict(SCENARIO, **override)
+    event = scenario.pop("event", {})
+    scenario["injected_events"] = [dict(SCENARIO["injected_events"][0], **event)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "stream.jsonl"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestGenerate:
