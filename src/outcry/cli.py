@@ -47,12 +47,19 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
+def _write_output(text: str, out_path: str | None) -> bool:
+    """Write to ``out_path`` (or stdout); False, after an ``error:`` line,
+    when the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
+        return False
+    return True
 
 
 def _events_table(payload: dict) -> str:
@@ -122,13 +129,22 @@ def cmd_detect(args) -> int:
     _log(args.verbose, "detect_done",
          counters=payload["counters"], events=len(payload["events"]))
     text = _dump_json(payload) if cfg.format == "json" else _events_table(payload)
-    _write_output(text, cfg.out)
+    if not _write_output(text, cfg.out):
+        return EXIT_INPUT
     if cfg.state_out:
-        result.state.save(cfg.state_out)
+        try:
+            result.state.save(cfg.state_out)
+        except OSError as exc:
+            _fail(f"cannot write state: {exc}")
+            return EXIT_INPUT
     return EXIT_OK
 
 
 def cmd_market(args) -> int:
+    for name, value in (("--window-days", args.window_days), ("--bins", args.bins)):
+        if value < 1:
+            _fail(f"{name} must be >= 1, got {value}")
+            return EXIT_CONFIG
     try:
         series = load_price_csv(args.prices)
     except OSError as exc:
@@ -184,7 +200,8 @@ def cmd_market(args) -> int:
             _fail(f"cannot pair index series: {exc}")
             status = EXIT_INPUT
 
-    _write_output(_dump_json(_round_floats(payload)), args.out)
+    if not _write_output(_dump_json(_round_floats(payload)), args.out):
+        return EXIT_INPUT
     _log(args.verbose, "market_done", status=status)
     return status
 
@@ -240,7 +257,8 @@ def cmd_evaluate(args) -> int:
         "recall": result.recall,
         "f1": result.f1,
     }
-    _write_output(_dump_json(_round_floats(payload)), args.out)
+    if not _write_output(_dump_json(_round_floats(payload)), args.out):
+        return EXIT_INPUT
     _log(args.verbose, "evaluate_done", f1=result.f1)
     return EXIT_OK
 

@@ -52,21 +52,30 @@ class DailyVolume:
         return max(self.counts) if self.counts else None
 
 
+def entity_velocity(volume: DailyVolume, today: date) -> float:
+    """Today's entity volume over the trailing 7-day mean (missing days
+    count as zero, floor of 1)."""
+    baseline = sum(
+        volume.counts.get(today - timedelta(days=k), 0) for k in range(1, BURST_BASELINE_DAYS + 1)
+    ) / float(BURST_BASELINE_DAYS)
+    return volume.counts.get(today, 0) / max(1.0, baseline)
+
+
+def _burst_flag(cluster: EventCluster, velocity: float, params: ControversyParams,
+                today: date) -> bool:
+    return velocity >= params.burst_velocity_threshold and cluster.per_day_counts.get(today, 0) >= 1
+
+
 def burstiness(
     cluster: EventCluster,
     volume: DailyVolume,
     params: ControversyParams,
     today: date,
 ) -> tuple[bool, float]:
-    """Velocity of today's entity volume against the trailing 7-day mean
-    (missing days count as zero, floor of 1); flagged when the velocity
-    clears the threshold and the cluster gained a member today."""
-    baseline = sum(
-        volume.counts.get(today - timedelta(days=k), 0) for k in range(1, BURST_BASELINE_DAYS + 1)
-    ) / float(BURST_BASELINE_DAYS)
-    velocity = volume.counts.get(today, 0) / max(1.0, baseline)
-    flag = velocity >= params.burst_velocity_threshold and cluster.per_day_counts.get(today, 0) >= 1
-    return flag, velocity
+    """The entity velocity, flagged when it clears the threshold and the
+    cluster gained a member today."""
+    velocity = entity_velocity(volume, today)
+    return _burst_flag(cluster, velocity, params, today), velocity
 
 
 def event_sentiment(cluster: EventCluster) -> float:
@@ -121,10 +130,11 @@ def classify_and_rank(
     rank score, then by cluster id (a total order, stable across runs)."""
     w_burst, w_news, w_sent = params.rank_weights
     threshold = params.burst_velocity_threshold
+    velocity = entity_velocity(volume, today)  # stream-wide: the same for every cluster
     reports = []
     for cluster in events:
         sentiment = event_sentiment(cluster)
-        flag, velocity = burstiness(cluster, volume, params, today)
+        flag = _burst_flag(cluster, velocity, params, today)
         count, news_score = newsworthiness(cluster, allowlist)
         controversial = sentiment < 0 and flag and count >= params.news_count_gate
         rank = (

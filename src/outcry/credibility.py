@@ -137,13 +137,14 @@ def normalize_url(raw: str, redirects: RedirectMap | None = None) -> str:
 
 
 def is_credible(url: str, allowlist: AllowList) -> bool:
-    """True iff the URL's domain is an allowlist entry or a subdomain of one."""
+    """True iff the URL's domain is an allowlist entry or a subdomain of one:
+    some label suffix of the host (``a.npr.org``, ``npr.org``, ``org``) is
+    on the list."""
     host = (urlparse(url).hostname or "").lower()
-    if not host:
-        return False
-    for entry in allowlist.domains:
-        if host == entry or host.endswith("." + entry):
+    while host:
+        if host in allowlist.domains:
             return True
+        host = host.partition(".")[2]
     return False
 
 

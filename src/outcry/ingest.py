@@ -134,13 +134,10 @@ def _parse_timestamp(value) -> datetime:
     raise BadTimestamp(f"creation_time has unsupported type: {value!r}")
 
 
-def parse_tweet_record(line: str) -> Tweet:
-    """Parse one JSONL record into a :class:`Tweet`.
-
-    posting_id, creation_time and text are required; urls and hashtags
-    default to empty lists.  Syntactically invalid URLs are discarded so a
-    parsed Tweet only ever carries absolute scheme+host URLs.
-    """
+def _decode_record(line: str) -> tuple[dict, datetime]:
+    """Decode and validate one JSONL record: the JSON object and its parsed
+    creation time.  Raises every IngestError a full parse would, so replay
+    can count each bad line without building a Tweet."""
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, TypeError) as exc:
@@ -153,50 +150,80 @@ def parse_tweet_record(line: str) -> Tweet:
         raise MissingField("posting_id")
     if "creation_time" not in obj:
         raise MissingField("creation_time")
-    text = obj.get("text")
-    if not isinstance(text, str):
+    if not isinstance(obj.get("text"), str):
         raise MissingField("text")
 
     creation_time = _parse_timestamp(obj["creation_time"])
 
-    urls_raw = obj.get("urls") or []
-    if not isinstance(urls_raw, list):
+    if not isinstance(obj.get("urls") or [], list):
         raise MalformedRecord("urls must be an array")
-    urls = tuple(u for u in urls_raw if isinstance(u, str) and is_absolute_url(u))
-
-    tags_raw = obj.get("hashtags") or []
-    if not isinstance(tags_raw, list):
+    if not isinstance(obj.get("hashtags") or [], list):
         raise MalformedRecord("hashtags must be an array")
-    hashtags = tuple(
-        t.lstrip("#").lower() for t in tags_raw if isinstance(t, str) and t.lstrip("#")
+    return obj, creation_time
+
+
+def _absolute_urls(urls) -> tuple[str, ...]:
+    if not urls:  # a record's missing, null or empty array
+        return ()
+    return tuple(u for u in urls if isinstance(u, str) and is_absolute_url(u))
+
+
+def _normal_hashtags(hashtags) -> tuple[str, ...]:
+    if not hashtags:
+        return ()
+    return tuple(
+        t.lstrip("#").lower() for t in hashtags if isinstance(t, str) and t.lstrip("#")
     )
 
+
+def _build_tweet(obj: dict, creation_time: datetime) -> Tweet:
+    """The Tweet of a decoded record: absolute URLs only, hashtags without
+    their ``#`` and lowercased."""
     return Tweet(
-        posting_id=posting_id,
+        posting_id=obj["posting_id"],
         creation_time=creation_time,
-        text=text,
+        text=obj["text"],
         language=str(obj.get("language") or "und"),
         source=str(obj.get("source") or ""),
-        urls=urls,
-        hashtags=hashtags,
+        urls=_absolute_urls(obj.get("urls")),
+        hashtags=_normal_hashtags(obj.get("hashtags")),
     )
+
+
+def parse_tweet_record(line: str) -> Tweet:
+    """Parse one JSONL record into a :class:`Tweet`.
+
+    posting_id, creation_time and text are required; urls and hashtags
+    default to empty lists.  Syntactically invalid URLs are discarded so a
+    parsed Tweet only ever carries absolute scheme+host URLs.
+    """
+    return _build_tweet(*_decode_record(line))
+
+
+def _matches(phrases: tuple[str, ...], text: str, hashtags, urls) -> bool:
+    """True iff a phrase occurs in the lowercased text, in a hashtag or in
+    the host of an absolute URL.  ``hashtags`` and ``urls`` may be a raw
+    record's arrays: they are cleaned as :func:`_build_tweet` cleans them,
+    and a Tweet's own fields are already clean."""
+    text = text.lower()
+    for phrase in phrases:
+        if phrase in text:
+            return True
+    if hashtags:
+        tags = _normal_hashtags(hashtags)
+        if any(phrase in tag for tag in tags for phrase in phrases):
+            return True
+    if urls:
+        hosts = [urlparse(u).netloc.lower() for u in _absolute_urls(urls)]
+        if any(phrase in host for host in hosts for phrase in phrases):
+            return True
+    return False
 
 
 def matches_filter(tweet: Tweet, phrases: PhraseFilter) -> bool:
     """True iff any phrase occurs (case-insensitively) in the tweet text,
     in a hashtag, or in a URL host."""
-    text = tweet.text.lower()
-    hosts = None
-    for phrase in phrases.phrases:
-        if phrase in text:
-            return True
-        if any(phrase in tag for tag in tweet.hashtags):
-            return True
-        if hosts is None:
-            hosts = [(urlparse(u).netloc or "").lower() for u in tweet.urls]
-        if any(phrase in host for host in hosts):
-            return True
-    return False
+    return _matches(phrases.phrases, tweet.text, tweet.hashtags, tweet.urls)
 
 
 @contextmanager
@@ -244,6 +271,8 @@ def replay_stream(
 ) -> Iterator[Tweet]:
     """Replay matching tweets from ``source`` in nondecreasing time order.
 
+    Every line is decoded and validated, so a bad line is a parse error
+    whether or not it matches; a Tweet is built only for a matching record.
     Records inside the lateness window are buffered and re-ordered; records
     older than ``newest_seen - lateness_seconds`` are dropped and counted.
     Per-record parse errors are counted and skipped, never fatal.  Pass a
@@ -262,24 +291,23 @@ def replay_stream(
                 continue
             stats.total += 1
             try:
-                tweet = parse_tweet_record(line)
+                obj, t = _decode_record(line)
             except IngestError:
                 stats.parse_errors += 1
                 continue
-            if not matches_filter(tweet, phrases):
+            if not _matches(phrases.phrases, obj["text"], obj.get("hashtags"), obj.get("urls")):
                 stats.filtered_out += 1
                 continue
             if seen_ids is not None:
-                if tweet.posting_id in seen_ids:
+                if obj["posting_id"] in seen_ids:
                     stats.duplicates += 1
                     continue
-                seen_ids.add(tweet.posting_id)
+                seen_ids.add(obj["posting_id"])
 
-            t = tweet.creation_time
             if watermark is not None and t < watermark:
                 stats.dropped_late += 1
                 continue
-            heapq.heappush(heap, (t, next(tiebreak), tweet))
+            heapq.heappush(heap, (t, next(tiebreak), _build_tweet(obj, t)))
             if newest is None or t > newest:
                 newest = t
                 watermark = newest - timedelta(seconds=lateness_seconds)

@@ -227,3 +227,130 @@ class ReferenceExtractor:
             matched += 1
         score = total / max(1, matched)
         return min(2.0, max(-2.0, score))
+
+
+# --- Replay oracle ----------------------------------------------------------
+#
+# Replay written the obvious way: every line is parsed into a full Tweet and
+# only then matched against the phrases.  The shipped replay decides the
+# match before it builds a Tweet; it must yield the same tweets in the same
+# order with the same counters (tests/test_replay_oracle.py).
+
+import heapq
+import itertools
+import json
+from datetime import timedelta
+from urllib.parse import urlparse
+
+from outcry.credibility import is_absolute_url
+from outcry.ingest import (
+    IngestError,
+    MalformedRecord,
+    MissingField,
+    ReplayStats,
+    Tweet,
+    _parse_timestamp,
+)
+
+
+def reference_parse(line):
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise MalformedRecord(f"not valid JSON: {line[:80]!r}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedRecord("record is not a JSON object")
+
+    posting_id = obj.get("posting_id")
+    if not isinstance(posting_id, str) or not posting_id:
+        raise MissingField("posting_id")
+    if "creation_time" not in obj:
+        raise MissingField("creation_time")
+    text = obj.get("text")
+    if not isinstance(text, str):
+        raise MissingField("text")
+
+    creation_time = _parse_timestamp(obj["creation_time"])
+
+    urls_raw = obj.get("urls") or []
+    if not isinstance(urls_raw, list):
+        raise MalformedRecord("urls must be an array")
+    urls = tuple(u for u in urls_raw if isinstance(u, str) and is_absolute_url(u))
+
+    tags_raw = obj.get("hashtags") or []
+    if not isinstance(tags_raw, list):
+        raise MalformedRecord("hashtags must be an array")
+    hashtags = tuple(
+        t.lstrip("#").lower() for t in tags_raw if isinstance(t, str) and t.lstrip("#")
+    )
+
+    return Tweet(
+        posting_id=posting_id,
+        creation_time=creation_time,
+        text=text,
+        language=str(obj.get("language") or "und"),
+        source=str(obj.get("source") or ""),
+        urls=urls,
+        hashtags=hashtags,
+    )
+
+
+def reference_matches(tweet, phrases):
+    text = tweet.text.lower()
+    hosts = None
+    for phrase in phrases.phrases:
+        if phrase in text:
+            return True
+        if any(phrase in tag for tag in tweet.hashtags):
+            return True
+        if hosts is None:
+            hosts = [(urlparse(u).netloc or "").lower() for u in tweet.urls]
+        if any(phrase in host for host in hosts):
+            return True
+    return False
+
+
+def reference_replay(lines, phrases, *, lateness_seconds=3600.0, dedup=False, stats=None):
+    """Parse every line in full, then filter, dedup and reorder."""
+    stats = stats if stats is not None else ReplayStats()
+    heap = []
+    tiebreak = itertools.count()
+    watermark = None
+    newest = None
+    seen_ids = set() if dedup else None
+
+    for line in lines:
+        if not line.strip():
+            continue
+        stats.total += 1
+        try:
+            tweet = reference_parse(line)
+        except IngestError:
+            stats.parse_errors += 1
+            continue
+        if not reference_matches(tweet, phrases):
+            stats.filtered_out += 1
+            continue
+        if seen_ids is not None:
+            if tweet.posting_id in seen_ids:
+                stats.duplicates += 1
+                continue
+            seen_ids.add(tweet.posting_id)
+
+        t = tweet.creation_time
+        if watermark is not None and t < watermark:
+            stats.dropped_late += 1
+            continue
+        heapq.heappush(heap, (t, next(tiebreak), tweet))
+        if newest is None or t > newest:
+            newest = t
+            watermark = newest - timedelta(seconds=lateness_seconds)
+        while heap and watermark is not None and heap[0][0] <= watermark:
+            _, _, ready = heapq.heappop(heap)
+            stats.yielded += 1
+            yield ready
+
+    while heap:
+        _, _, ready = heapq.heappop(heap)
+        stats.yielded += 1
+        yield ready

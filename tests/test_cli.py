@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import outcry
-from outcry import InvalidConfig, RunConfig, ingest, run_detection
+from outcry import GroundTruth, InvalidConfig, RunConfig, ingest, run_detection
 from outcry.cli import main
 
 from test_market import calibrated_returns
@@ -280,6 +280,18 @@ class TestMarketCommand:
         assert main(["market", "--prices", str(prices),
                      "--event-date", "someday"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--window-days", "0"), ("--window-days", "-1"), ("--bins", "0"), ("--bins", "-3"),
+    ])
+    def test_window_or_bins_below_one_is_config_error(self, tmp_path, capsys, flag, value):
+        prices = tmp_path / "prices.csv"
+        event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+        out = tmp_path / "market.json"
+        assert main(["market", "--prices", str(prices), "--event-date", event_day.isoformat(),
+                     flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 1")
+        assert not out.exists()
+
     def test_index_overlay(self, tmp_path):
         prices = tmp_path / "prices.csv"
         index = tmp_path / "index.csv"
@@ -408,6 +420,36 @@ def test_unreadable_config_file_is_an_error_not_a_traceback(tmp_path, capsys,
     assert main(argv + ["--out", str(out)]) == expected
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["detect --out", "detect --state-out",
+                                    "market --out", "evaluate --out"])
+def test_unwritable_output_is_input_error(tmp_path, target):
+    missing = tmp_path / "missing" / "dir" / "out.json"
+    stream = tmp_path / "in.jsonl"
+    stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
+                                  "text": "acmecorp plant fire"}) + "\n")
+    report, state, truth = tmp_path / "report.json", tmp_path / "state.json", tmp_path / "t.json"
+    detect = ["detect", "--input", str(stream), "--phrases", "acmecorp"]
+    if target == "evaluate --out":
+        assert main(detect + ["--out", str(report), "--state-out", str(state)]) == 0
+        GroundTruth().save(truth)
+    prices = tmp_path / "prices.csv"
+    event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+    argv = {
+        "detect --out": detect + ["--out", str(missing)],
+        "detect --state-out": detect + ["--out", str(report), "--state-out", str(missing)],
+        "market --out": ["market", "--prices", str(prices),
+                         "--event-date", event_day.isoformat(), "--out", str(missing)],
+        "evaluate --out": ["evaluate", "--report", str(report), "--state", str(state),
+                           "--truth", str(truth), "--out", str(missing)],
+    }[target]
+    env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+    ran = subprocess.run([sys.executable, "-m", "outcry.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert ran.returncode == 2, ran.stderr
+    assert "Traceback" not in ran.stderr
+    assert ran.stderr.startswith("error: cannot write")
 
 
 class TestImports:

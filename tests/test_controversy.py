@@ -15,6 +15,7 @@ from outcry import (
     event_sentiment,
     newsworthiness,
 )
+from outcry import controversy
 
 from conftest import make_vector
 
@@ -204,6 +205,26 @@ class TestClassifyAndRank:
         first = classify_and_rank(clusters, volume, allowlist, ControversyParams(), TODAY)
         second = classify_and_rank(clusters, volume, allowlist, ControversyParams(), TODAY)
         assert [r.cluster_id for r in first] == [r.cluster_id for r in second]
+
+    def test_velocity_computed_once_and_flag_per_cluster(self, allowlist, monkeypatch):
+        # The velocity is stream-wide; only the "gained a member today" half
+        # of the burst flag depends on the cluster.
+        volume = spiking_volume()
+        clusters = [build_cluster(1, [-1.0] * 3),
+                    build_cluster(2, [-1.0] * 3, member_day=TODAY - timedelta(days=1)),
+                    build_cluster(3, [0.5] * 3)]
+        calls = []
+        velocity = controversy.entity_velocity
+        monkeypatch.setattr(controversy, "entity_velocity",
+                            lambda *a: calls.append(a) or velocity(*a))
+        reports = classify_and_rank(clusters, volume, allowlist, ControversyParams(), TODAY)
+        assert len(calls) == 1
+        by_id = {r.cluster_id: r for r in reports}
+        for cluster in clusters:
+            flag, cluster_velocity = burstiness(cluster, volume, ControversyParams(), TODAY)
+            assert by_id[cluster.cluster_id].burst_flag is flag
+            assert by_id[cluster.cluster_id].burst_velocity == cluster_velocity
+        assert [by_id[i].burst_flag for i in (1, 2, 3)] == [True, False, True]
 
     def test_top_terms_reported_by_frequency(self, allowlist):
         cluster = build_cluster(1, [-1.0] * 5, terms={"walkout": 2, "plant": 1})

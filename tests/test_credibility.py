@@ -1,3 +1,5 @@
+from urllib.parse import urlparse
+
 import pytest
 
 from outcry import (
@@ -78,6 +80,25 @@ class TestIsCredible:
 
     def test_lookalike_suffix_rejected(self, allowlist):
         assert not is_credible("https://nytimes.com.evil.example/x", allowlist)
+
+    @pytest.mark.parametrize("url, expected", [
+        ("https://npr.org/x", True),
+        ("https://a.b.npr.org/x", True),
+        ("https://notnpr.org/x", False),
+        ("https://npr.org.evil.example/x", False),
+        ("https://NPR.ORG:8080/x", True),
+        ("https://user@www.npr.org/x", True),
+        ("https://org/x", False),
+        ("https://a..npr.org/x", True),
+        ("https://npr.org./x", False),
+        ("not a url", False),
+    ])
+    def test_label_suffix_lookup_equals_linear_rule(self, url, expected):
+        allowlist = AllowList(frozenset({"npr.org", "nytimes.com"}))
+        host = (urlparse(url).hostname or "").lower()
+        linear = bool(host) and any(host == entry or host.endswith("." + entry)
+                                    for entry in allowlist.domains)
+        assert is_credible(url, allowlist) is expected is linear
 
     def test_monotone_in_allowlist(self):
         small = AllowList(frozenset({"npr.org"}))

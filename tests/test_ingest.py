@@ -188,6 +188,22 @@ class TestReplayStream:
         assert stats.parse_errors == 1
         assert stats.total == 3
 
+    def test_bad_line_is_a_parse_error_whether_or_not_it_matches(self):
+        stats = ReplayStats()
+        lines = [record(posting_id="a", text="nothing here", urls="https://x.example"),
+                 record(posting_id="b", ts=True, text="nothing here"),
+                 record(posting_id="c", text="nothing here"),
+                 record(posting_id="d", text="acme", hashtags={"a": 1})]
+        out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]), stats=stats))
+        assert out == []
+        assert (stats.parse_errors, stats.filtered_out) == (3, 1)
+
+    def test_json_escaped_phrase_matches(self):
+        line = record(text="all about AcmeCorp").replace("AcmeCorp", "\\u0041cmeCorp")
+        assert "AcmeCorp" not in line
+        out = list(replay_stream(stream_of([line]), PhraseFilter(["acmecorp"])))
+        assert [t.text for t in out] == ["all about AcmeCorp"]
+
     def test_dedup_switch(self):
         stats = ReplayStats()
         lines = [record(posting_id="same", text="acme"),
