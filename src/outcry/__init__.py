@@ -13,17 +13,14 @@ from .clustering import (
     ClusterState,
     DegenerateVector,
     EventCluster,
-    distance,
 )
 from .config import InvalidConfig, RunConfig
 from .controversy import (
     ControversyParams,
     ControversyReport,
     DailyVolume,
-    burstiness,
     classify_and_rank,
     event_sentiment,
-    newsworthiness,
 )
 from .credibility import (
     AllowList,
@@ -39,17 +36,10 @@ from .features import (
     FeatureExtractor,
     RuleTagger,
     SentimentLexicon,
-    Token,
     TweetVector,
-    build_tweet_vector,
-    extract_5w_terms,
     load_gazetteer,
     load_stopwords,
     load_verb_list,
-    merge_proper_nouns,
-    score_sentiment,
-    tag_pos,
-    tokenize,
 )
 from .ingest import (
     BadTimestamp,
@@ -93,17 +83,15 @@ __all__ = [
     "ControversyParams", "ControversyReport", "CREATED", "DailyVolume",
     "DegenerateVector", "DetectionResult", "EvalResult", "EventCluster",
     "EventTruth", "FeatureExtractor", "GroundTruth", "InjectedEvent",
-    "InsufficientData", "InvalidConfig", "MalformedRecord",
-    "MERGED", "MissingField", "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
+    "InsufficientData", "InvalidConfig", "MalformedRecord", "MERGED",
+    "MissingField", "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
     "RedirectCycle", "RedirectMap", "ReplayStats", "ReturnStats", "RuleTagger",
     "RunConfig", "ScenarioConfig", "SentimentLexicon", "SourceUnavailable",
-    "Token", "Tweet", "TweetVector", "ZeroVariance", "burstiness",
-    "build_tweet_vector", "classify_and_rank", "daily_returns", "distance",
-    "evaluate", "event_day_zscore", "event_sentiment", "extract_5w_terms",
+    "Tweet", "TweetVector", "ZeroVariance", "classify_and_rank",
+    "daily_returns", "evaluate", "event_day_zscore", "event_sentiment",
     "generate", "is_credible", "load_gazetteer", "load_price_csv",
-    "load_stopwords", "load_verb_list", "matches_filter", "merge_proper_nouns",
-    "newsworthiness", "normalize_url", "paired_returns", "parse_tweet_record",
-    "replay_stream", "report_payload", "return_histogram",
-    "return_stats", "run_detection", "score_sentiment", "tag_pos", "tokenize",
+    "load_stopwords", "load_verb_list", "matches_filter", "normalize_url",
+    "paired_returns", "parse_tweet_record", "replay_stream", "report_payload",
+    "return_histogram", "return_stats", "run_detection",
     "unique_credible_links",
 ]

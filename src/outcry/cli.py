@@ -25,7 +25,7 @@ from .market import (
     return_histogram,
     return_stats,
 )
-from .pipeline import SCHEMA_VERSION, _round_floats, report_payload, run_detection
+from .pipeline import SCHEMA_VERSION, DataFileError, _round_floats, report_payload, run_detection
 from .synth import GroundTruth, ScenarioConfig, evaluate, generate
 from .ingest import SourceUnavailable
 
@@ -122,7 +122,7 @@ def cmd_detect(args) -> int:
         return EXIT_INPUT
     try:
         result = run_detection(cfg.input, cfg)
-    except SourceUnavailable as exc:
+    except (SourceUnavailable, DataFileError) as exc:
         _fail(str(exc))
         return EXIT_INPUT
     payload = report_payload(result, cfg)
@@ -208,14 +208,13 @@ def cmd_market(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        cfg = ScenarioConfig.load(args.scenario)
+        lines, truth = generate(ScenarioConfig.load(args.scenario))
     except InvalidConfig as exc:
         _fail(str(exc))
         return EXIT_CONFIG
     except OSError as exc:
         _fail(f"cannot read scenario: {exc}")
         return EXIT_INPUT
-    lines, truth = generate(cfg)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             for line in lines:
@@ -230,18 +229,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        state = ClusterState.load(args.state)
-        truth = GroundTruth.load(args.truth)
-    except OSError as exc:
-        _fail(f"cannot read evaluation inputs: {exc}")
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
-        _fail(f"malformed evaluation input: {exc}")
-        return EXIT_INPUT
-
     class _Flagged:
         __slots__ = ("cluster_id", "controversial")
 
@@ -249,8 +236,20 @@ def cmd_evaluate(args) -> int:
             self.cluster_id = entry["cluster_id"]
             self.controversial = entry["controversial"]
 
-    reports = [_Flagged(entry) for entry in report.get("events", [])]
-    result = evaluate(reports, state, truth)
+    try:
+        with open(args.report, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+        state = ClusterState.load(args.state)
+        truth = GroundTruth.load(args.truth)
+        reports = [_Flagged(entry) for entry in report.get("events", [])]
+        result = evaluate(reports, state, truth)
+    except OSError as exc:
+        _fail(f"cannot read evaluation inputs: {exc}")
+        return EXIT_INPUT
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # TypeError, AttributeError: a JSON value of the wrong shape
+        _fail(f"malformed evaluation input: {exc}")
+        return EXIT_INPUT
     payload = {
         "schema_version": SCHEMA_VERSION,
         "precision": result.precision,

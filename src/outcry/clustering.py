@@ -127,25 +127,6 @@ class EventCluster:
         return [(term, int(weight)) for term, weight in ranked[:limit]]
 
 
-def distance(vector: TweetVector, cluster: EventCluster) -> float:
-    """Cosine distance in [0, 1] between the vector and the cluster average
-    vector; 1.0 when term supports are disjoint."""
-    terms = vector.terms
-    if not terms:
-        raise DegenerateVector("vector has no terms")
-    v_norm = math.sqrt(sum(c * c for c in terms.values()))
-    c_norm = cluster.norm
-    if v_norm == 0.0 or c_norm == 0.0:
-        raise DegenerateVector("zero-norm operand")
-    dot = 0.0
-    sums = cluster.term_sums
-    for term, count in terms.items():
-        weight = sums.get(term)
-        if weight:
-            dot += count * weight
-    return min(1.0, max(0.0, 1.0 - dot / (v_norm * c_norm)))
-
-
 class ClusterState:
     """All live clusters plus the bookkeeping for streaming assignment.
 
@@ -216,7 +197,10 @@ class ClusterState:
     def expire_inactive(self, now: datetime) -> int:
         """Drop sub-event clusters idle longer than the expiry window.
         Candidate events are never expired."""
-        cutoff = now - self.params.inactivity_expiry
+        try:
+            cutoff = now - self.params.inactivity_expiry
+        except OverflowError:  # the window reaches back past year 1: none is idle
+            return 0
         doomed = [
             cid for cid, c in self.clusters.items()
             if c.last_updated < cutoff and c.member_count < self.params.min_event_size

@@ -1,4 +1,4 @@
-"""Controversy scoring: burstiness, newsworthiness, sentiment, gate + rank.
+"""Controversy scoring: entity velocity, event sentiment, gate + rank.
 
 An event is flagged controversial only when all three hold: mean sentiment is
 negative, the entity's daily volume is bursting (and the cluster is active
@@ -61,34 +61,11 @@ def entity_velocity(volume: DailyVolume, today: date) -> float:
     return volume.counts.get(today, 0) / max(1.0, baseline)
 
 
-def _burst_flag(cluster: EventCluster, velocity: float, params: ControversyParams,
-                today: date) -> bool:
-    return velocity >= params.burst_velocity_threshold and cluster.per_day_counts.get(today, 0) >= 1
-
-
-def burstiness(
-    cluster: EventCluster,
-    volume: DailyVolume,
-    params: ControversyParams,
-    today: date,
-) -> tuple[bool, float]:
-    """The entity velocity, flagged when it clears the threshold and the
-    cluster gained a member today."""
-    velocity = entity_velocity(volume, today)
-    return _burst_flag(cluster, velocity, params, today), velocity
-
-
 def event_sentiment(cluster: EventCluster) -> float:
     """Arithmetic mean of member sentiment scores."""
     if cluster.member_count < 1:
         raise ValueError("cluster has no members")
     return math.fsum(cluster.sentiments) / cluster.member_count
-
-
-def newsworthiness(cluster: EventCluster, allowlist: AllowList) -> tuple[int, float]:
-    """(count of unique verified news links, ln(1 + count))."""
-    count = unique_credible_links(cluster, allowlist)
-    return count, math.log1p(count)
 
 
 @dataclass
@@ -127,15 +104,22 @@ def classify_and_rank(
     today: date,
 ) -> list[ControversyReport]:
     """Score candidate events and order them: controversial first, then by
-    rank score, then by cluster id (a total order, stable across runs)."""
+    rank score, then by cluster id (a total order, stable across runs).
+
+    The gate has three conditions: mean sentiment below zero; a burst, which
+    is the entity velocity at or above the threshold while the cluster gained
+    a member today; and at least ``news_count_gate`` unique credible links.
+    The news score is ln(1 + that count).
+    """
     w_burst, w_news, w_sent = params.rank_weights
     threshold = params.burst_velocity_threshold
     velocity = entity_velocity(volume, today)  # stream-wide: the same for every cluster
     reports = []
     for cluster in events:
         sentiment = event_sentiment(cluster)
-        flag = _burst_flag(cluster, velocity, params, today)
-        count, news_score = newsworthiness(cluster, allowlist)
+        flag = velocity >= threshold and cluster.per_day_counts.get(today, 0) >= 1
+        count = unique_credible_links(cluster.links, allowlist)
+        news_score = math.log1p(count)
         controversial = sentiment < 0 and flag and count >= params.news_count_gate
         rank = (
             w_burst * min(velocity / threshold, 2.0) / 2.0

@@ -148,10 +148,8 @@ def is_credible(url: str, allowlist: AllowList) -> bool:
     return False
 
 
-def unique_credible_links(cluster, allowlist: AllowList) -> int:
-    """Count distinct credible URLs in a cluster (or any iterable of
-    normalized URLs)."""
-    links = getattr(cluster, "links", cluster)
+def unique_credible_links(links, allowlist: AllowList) -> int:
+    """Count distinct credible URLs among normalized URLs."""
     return len({u for u in links if is_credible(u, allowlist)})
 
 

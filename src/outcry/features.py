@@ -1,11 +1,10 @@
 """Tweet feature extraction: tokens, heuristic tagging, 5W terms, sentiment.
 
-Extraction is one pass.  The text is scanned once into parallel lists of
-token surfaces, kinds and lowercased words; the tagger labels those lists;
-the 5W terms and the sentiment score are read off the same lists.  No
-``Token`` object is built on that path.  ``tokenize``, ``RuleTagger.tag``,
-``merge_proper_nouns`` and ``score_sentiment`` are views over the same core
-for callers that work with ``Token`` objects.
+``FeatureExtractor.vector`` is the one way to turn a tweet into features.
+The text is scanned once into parallel lists of token surfaces, kinds and
+lowercased words (``_scan``); the tagger labels those lists; the 5W terms
+(``_terms``) and the sentiment score (``_sentiment``) are read off the same
+lists.
 
 The tagger is a deliberately simple capitalization/word-list heuristic behind
 a pluggable interface (see ``RuleTagger`` for the two methods a replacement
@@ -58,13 +57,6 @@ LEMMA_CACHE_SIZE = 1 << 16
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int
-    kind: str
-
-
 def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
     """One regex pass: token surfaces, kinds, and lowercased words (None for
     non-word tokens) as parallel lists, plus the hashtag terms in order."""
@@ -84,19 +76,6 @@ def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]
             if kind == HASHTAG:
                 hashtags.append(surface[1:].lower())
     return surfaces, kinds, words, hashtags
-
-
-def _token_lists(tokens: Sequence[Token]) -> tuple[list[str], list[str], list[str | None]]:
-    surfaces = [t.surface for t in tokens]
-    kinds = [t.kind for t in tokens]
-    words = [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
-    return surfaces, kinds, words
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split text into word/hashtag/mention/url/punctuation tokens."""
-    surfaces, kinds, _, _ = _scan(text)
-    return [Token(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))]
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -248,16 +227,9 @@ class RuleTagger:
                 sentence_start = True
         return tags
 
-    def tag(self, tokens: Sequence[Token]) -> list[tuple[Token, str]]:
-        return list(zip(tokens, self.tag_lists(*_token_lists(tokens))))
-
-
-def tag_pos(tokens: Sequence[Token], tagger: RuleTagger | None = None) -> list[tuple[Token, str]]:
-    """Tag tokens as proper_noun / verb / other with the default rule tagger."""
-    return (tagger or _default_tagger()).tag(tokens)
-
 
 def _proper_noun_phrases(surfaces: Sequence[str], tags: Sequence[str]) -> list[str]:
+    """Maximal runs of adjacent proper-noun tokens as lowercase phrases."""
     phrases = []
     run: list[str] = []
     for surface, tag in zip(surfaces, tags):
@@ -269,11 +241,6 @@ def _proper_noun_phrases(surfaces: Sequence[str], tags: Sequence[str]) -> list[s
     if run:
         phrases.append(" ".join(run))
     return phrases
-
-
-def merge_proper_nouns(tagged: Sequence[tuple[Token, str]]) -> list[str]:
-    """Join maximal runs of adjacent proper-noun tokens into lowercase phrases."""
-    return _proper_noun_phrases([t.surface for t, _ in tagged], [tag for _, tag in tagged])
 
 
 def _terms(
@@ -301,22 +268,10 @@ def _terms(
     return Counter(items), words
 
 
-def extract_5w_terms(
-    tweet: Tweet,
-    tagger: RuleTagger | None = None,
-    stopwords: frozenset[str] | None = None,
-) -> Counter:
-    """Multiset of event descriptor terms: merged proper-noun phrases, verbs,
-    gazetteer entities, and hashtags, with stopwords removed."""
-    return _terms(
-        tweet.text,
-        tweet.hashtags,
-        tagger or _default_tagger(),
-        stopwords if stopwords is not None else _default_stopwords(),
-    )[0]
-
-
 def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
+    """Average lexicon valence over matched words with negation flipping
+    (3-token lookback) and intensifier scaling, clamped to [-2, +2].
+    Zero lexicon matches score exactly 0."""
     entries, negators, intensifiers = lexicon.entries, lexicon.negators, lexicon.intensifiers
     total = 0.0
     matched = 0
@@ -341,13 +296,6 @@ def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
     return min(SENTIMENT_MAX, max(SENTIMENT_MIN, score))
 
 
-def score_sentiment(tokens: Sequence[Token], lexicon: SentimentLexicon) -> float:
-    """Average lexicon valence over matched tokens with negation flipping
-    (3-token lookback) and intensifier scaling, clamped to [-2, +2].
-    Zero lexicon matches score exactly 0."""
-    return _sentiment(_token_lists(tokens)[2], lexicon)
-
-
 @dataclass(frozen=True)
 class TweetVector:
     """Feature bundle a tweet contributes to clustering."""
@@ -360,47 +308,10 @@ class TweetVector:
     day: date
 
 
-def build_tweet_vector(
-    tweet: Tweet,
-    lexicon: SentimentLexicon | None = None,
-    *,
-    tagger: RuleTagger | None = None,
-    stopwords: frozenset[str] | None = None,
-    redirects: credibility.RedirectMap | None = None,
-) -> TweetVector | None:
-    """Assemble a TweetVector; returns None (discard) when no terms survive.
-
-    URLs that fail normalization are silently skipped; the vector's links
-    only ever hold canonical URLs.
-    """
-    terms, words = _terms(
-        tweet.text,
-        tweet.hashtags,
-        tagger or _default_tagger(),
-        stopwords if stopwords is not None else _default_stopwords(),
-    )
-    if not terms:
-        return None
-    sentiment = _sentiment(words, lexicon or _default_lexicon())
-    links = set()
-    for raw in tweet.urls:
-        try:
-            links.add(credibility.normalize_url(raw, redirects))
-        except (credibility.BadUrl, credibility.RedirectCycle):
-            continue
-    return TweetVector(
-        tweet_id=tweet.posting_id,
-        timestamp=tweet.creation_time,
-        terms=terms,
-        sentiment=sentiment,
-        links=frozenset(links),
-        day=tweet.creation_time.date(),
-    )
-
-
 class FeatureExtractor:
     """Bundles tagger, lexicon, stopword, and redirect resources so the
-    pipeline can turn tweets into vectors without re-loading data files."""
+    pipeline can turn tweets into vectors without re-loading data files.
+    Resources left out are loaded from the bundled data files."""
 
     def __init__(
         self,
@@ -409,42 +320,32 @@ class FeatureExtractor:
         stopwords: frozenset[str] | None = None,
         redirects: credibility.RedirectMap | None = None,
     ):
-        self.lexicon = lexicon or _default_lexicon()
-        self.tagger = tagger or _default_tagger()
-        self.stopwords = stopwords if stopwords is not None else _default_stopwords()
+        self.lexicon = lexicon or SentimentLexicon.load()
+        self.tagger = tagger or RuleTagger()
+        self.stopwords = stopwords if stopwords is not None else load_stopwords()
         self.redirects = redirects
 
     def vector(self, tweet: Tweet) -> TweetVector | None:
-        return build_tweet_vector(
-            tweet,
-            self.lexicon,
-            tagger=self.tagger,
-            stopwords=self.stopwords,
-            redirects=self.redirects,
+        """Assemble a TweetVector; returns None (discard) when no terms survive.
+
+        URLs that fail normalization are silently skipped; the vector's links
+        only ever hold canonical URLs.
+        """
+        terms, words = _terms(tweet.text, tweet.hashtags, self.tagger, self.stopwords)
+        if not terms:
+            return None
+        sentiment = _sentiment(words, self.lexicon)
+        links = set()
+        for raw in tweet.urls:
+            try:
+                links.add(credibility.normalize_url(raw, self.redirects))
+            except (credibility.BadUrl, credibility.RedirectCycle):
+                continue
+        return TweetVector(
+            tweet_id=tweet.posting_id,
+            timestamp=tweet.creation_time,
+            terms=terms,
+            sentiment=sentiment,
+            links=frozenset(links),
+            day=tweet.creation_time.date(),
         )
-
-
-_TAGGER: RuleTagger | None = None
-_STOPWORDS: frozenset[str] | None = None
-_LEXICON: SentimentLexicon | None = None
-
-
-def _default_tagger() -> RuleTagger:
-    global _TAGGER
-    if _TAGGER is None:
-        _TAGGER = RuleTagger()
-    return _TAGGER
-
-
-def _default_stopwords() -> frozenset[str]:
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        _STOPWORDS = load_stopwords()
-    return _STOPWORDS
-
-
-def _default_lexicon() -> SentimentLexicon:
-    global _LEXICON
-    if _LEXICON is None:
-        _LEXICON = SentimentLexicon.load()
-    return _LEXICON

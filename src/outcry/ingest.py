@@ -310,7 +310,10 @@ def replay_stream(
             heapq.heappush(heap, (t, next(tiebreak), _build_tweet(obj, t)))
             if newest is None or t > newest:
                 newest = t
-                watermark = newest - timedelta(seconds=lateness_seconds)
+                try:
+                    watermark = newest - timedelta(seconds=lateness_seconds)
+                except OverflowError:  # the window reaches back past year 1: none is late
+                    watermark = None
             while heap and watermark is not None and heap[0][0] <= watermark:
                 _, _, ready = heapq.heappop(heap)
                 stats.yielded += 1

@@ -46,7 +46,10 @@ def load_price_csv(path, symbol: str | None = None) -> PriceSeries:
         if reader.fieldnames is None or "date" not in reader.fieldnames or "close" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a 'date,close' header")
         for row in reader:
-            points.append((date.fromisoformat(row["date"].strip()), float(row["close"])))
+            day, close = row["date"], row["close"]
+            if day is None or close is None:
+                raise ValueError(f"{path}: line {reader.line_num} needs a date and a close")
+            points.append((date.fromisoformat(day.strip()), float(close)))
     return PriceSeries(symbol=symbol or str(path), points=tuple(points))
 
 

@@ -37,17 +37,30 @@ class DetectionResult:
     today: date | None
 
 
+class DataFileError(Exception):
+    """A data file named in the config cannot be read or parsed."""
+
+
+def _load(loader, path):
+    """``loader(path)``; a file that cannot be read or parsed is raised as a
+    ``DataFileError`` naming it.  A ``path`` of None loads the bundled file."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        raise DataFileError(f"bad data file {path}: {exc}") from exc
+
+
 def build_extractor(cfg: RunConfig) -> FeatureExtractor:
-    lexicon = SentimentLexicon.load(cfg.lexicon_path)
+    lexicon = _load(SentimentLexicon.load, cfg.lexicon_path)
     tagger = RuleTagger(
-        verbs=load_verb_list(cfg.verbs_path),
-        gazetteer=load_gazetteer(cfg.gazetteer_path),
+        verbs=_load(load_verb_list, cfg.verbs_path),
+        gazetteer=_load(load_gazetteer, cfg.gazetteer_path),
     )
-    stopwords = load_stopwords(cfg.stopwords_path)
+    stopwords = _load(load_stopwords, cfg.stopwords_path)
     if cfg.resolver_mode == "network":
         redirects = NetworkRedirectResolver(timeout_ms=cfg.network_timeout_ms).as_redirects()
     elif cfg.redirect_map_path:
-        redirects = RedirectMap.load(cfg.redirect_map_path)
+        redirects = _load(RedirectMap.load, cfg.redirect_map_path)
     else:
         redirects = None
     return FeatureExtractor(lexicon=lexicon, tagger=tagger,
@@ -63,7 +76,7 @@ def run_detection(source, cfg: RunConfig) -> DetectionResult:
     state = ClusterState(cfg.cluster_params())
     params = cfg.controversy_params()
     extractor = build_extractor(cfg)
-    allowlist = AllowList.load(cfg.allowlist_path)
+    allowlist = _load(AllowList.load, cfg.allowlist_path)
     volume = DailyVolume()
     replay_stats = ReplayStats()
     counters = {"skipped_language": 0, "discarded_empty": 0}

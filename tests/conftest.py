@@ -6,6 +6,7 @@ import pytest
 
 from outcry import (
     AllowList,
+    FeatureExtractor,
     RuleTagger,
     SentimentLexicon,
     Tweet,
@@ -29,6 +30,11 @@ def tagger():
 @pytest.fixture(scope="session")
 def stopwords():
     return load_stopwords()
+
+
+@pytest.fixture(scope="session")
+def extractor(lexicon, tagger, stopwords):
+    return FeatureExtractor(lexicon=lexicon, tagger=tagger, stopwords=stopwords)
 
 
 @pytest.fixture(scope="session")

@@ -32,11 +32,9 @@ from outcry import (
     replay_stream,
     return_stats,
     run_detection,
-    score_sentiment,
-    tokenize,
 )
 from outcry.cli import main
-from outcry.features import SentimentLexicon
+from outcry.features import SentimentLexicon, _scan, _sentiment
 
 from conftest import BASE_TIME, make_vector
 from reference import ReferenceClusterer, batch_centroid
@@ -179,7 +177,7 @@ def test_criterion_4_sentiment_bounds_and_event_mean():
         )
         for _ in range(2000):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randrange(0, 14)))
-            score = score_sentiment(tokenize(text), lexicon)
+            score = _sentiment(_scan(text)[2], lexicon)
             assert -2.0 <= score <= 2.0
 
         for _ in range(300):

@@ -180,6 +180,34 @@ class TestDetectCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, content", [
+        ("lexicon_path", None),
+        ("lexicon_path", "bad\tnotnum\n"),
+        ("stopwords_path", None),
+        ("stopwords_path", b"caf\xe9\n"),
+        ("verbs_path", None),
+        ("gazetteer_path", None),
+        ("allowlist_path", None),
+        ("allowlist_path", "https://nytimes.com\n"),
+        ("redirect_map_path", None),
+        ("redirect_map_path", "https://sho.rt/x\n"),
+    ])
+    def test_missing_or_malformed_data_file_exits_2(self, tmp_path, capsys, key, content):
+        data = tmp_path / "data.txt"
+        if isinstance(content, str):
+            data.write_text(content)
+        elif content is not None:
+            data.write_bytes(content)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: str(data)}))
+        stream = tmp_path / "in.jsonl"
+        stream.write_text("")
+        out = tmp_path / "report.json"
+        assert main(["detect", "--config", str(config), "--input", str(stream),
+                     "--phrases", "acme", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad data file {data}: ")
+        assert not out.exists()
+
     def test_missing_phrases_is_config_error(self, tmp_path):
         stream = tmp_path / "in.jsonl"
         stream.write_text("")
@@ -274,6 +302,17 @@ class TestMarketCommand:
                      "--event-date", "2024-01-05"])
         assert code == 2
 
+    @pytest.mark.parametrize("series", ["--prices", "--index"])
+    def test_row_with_missing_field_exits_2(self, tmp_path, capsys, series):
+        good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+        event_day = write_price_csv(good, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+        short.write_text("date,close\n2024-01-01\n2024-01-02,101\n")
+        files = {"--prices": good, "--index": good, series: short}
+        assert main(["market", "--prices", str(files["--prices"]),
+                     "--index", str(files["--index"]), "--event-date", event_day.isoformat(),
+                     "--out", str(tmp_path / "market.json")]) == 2
+        assert f"{short}: line 2 needs a date and a close" in capsys.readouterr().err
+
     def test_bad_event_date_is_config_error(self, tmp_path):
         prices = tmp_path / "prices.csv"
         write_price_csv(prices, [0.01, -0.01])
@@ -327,11 +366,41 @@ class TestSynthCommand:
                      str(tmp_path / "s.jsonl")]) == 1
 
 
+    def test_sentiment_range_without_lexicon_words_exits_1(self, tmp_path, capsys):
+        scenario = dict(SCENARIO, injected_events=[
+            dict(SCENARIO["injected_events"][0], sentiment_range=[1.99, 1.995])])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no lexicon words with valence")
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_missing_detection_output_exits_2(self, tmp_path):
         assert main(["evaluate", "--report", str(tmp_path / "r.json"),
                      "--state", str(tmp_path / "s.json"),
                      "--truth", str(tmp_path / "t.json")]) == 2
+
+    @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry"])
+    def test_wrong_json_shape_exits_2(self, tmp_path, capsys, wrong):
+        stream = tmp_path / "in.jsonl"
+        stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
+                                      "text": "acmecorp plant fire"}) + "\n")
+        paths = {name: tmp_path / f"{name}.json" for name in ("report", "state", "truth")}
+        assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
+                     "--out", str(paths["report"]), "--state-out", str(paths["state"])]) == 0
+        GroundTruth().save(paths["truth"])
+        if wrong == "event entry":
+            paths["report"].write_text(json.dumps({"events": [3]}))
+        else:
+            paths[wrong].write_text("[1, 2]")
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--report", str(paths["report"]), "--state", str(paths["state"]),
+                     "--truth", str(paths["truth"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
+        assert not out.exists()
 
 
 class TestPipelineCounters:

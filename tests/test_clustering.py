@@ -11,7 +11,6 @@ from outcry import (
     ClusterParams,
     ClusterState,
     DegenerateVector,
-    distance,
 )
 
 from conftest import BASE_TIME, make_vector
@@ -27,32 +26,37 @@ def random_vector(rng, i, vocab, max_terms=4, ts=BASE_TIME):
     return make_vector(f"t{i}", terms, ts=ts + timedelta(seconds=i))
 
 
+def decide(first_terms, probe_terms, merge_threshold):
+    """What ``assign`` does with a probe after one singleton cluster."""
+    state = ClusterState(ClusterParams(merge_threshold=merge_threshold))
+    state.assign(make_vector("a", first_terms))
+    return state.assign(make_vector("b", probe_terms))[1]
+
+
 class TestDistance:
+    """The cosine distance inside ``assign``, read off its decisions with
+    thresholds on either side of the hand-computed value."""
+
     def test_identical_vector_and_singleton(self):
-        state = ClusterState()
-        state.assign(make_vector("a", {"x": 2, "y": 1}))
-        probe = make_vector("b", {"x": 2, "y": 1})
-        assert distance(probe, state.clusters[1]) == pytest.approx(0.0, abs=1e-12)
+        # distance 0: merged under any positive threshold
+        assert decide({"x": 2, "y": 1}, {"x": 2, "y": 1}, 1e-12) == MERGED
 
     def test_disjoint_supports(self):
-        state = ClusterState()
-        state.assign(make_vector("a", {"x": 1}))
-        assert distance(make_vector("b", {"y": 1}), state.clusters[1]) == 1.0
+        # distance 1.0: not merged even at the largest threshold, which is 1
+        assert decide({"x": 1}, {"y": 1}, 1.0) == CREATED
 
     def test_partial_overlap_matches_hand_computed_cosine(self):
         # independent oracle: cos = (1*1) / (sqrt(2) * 1)
-        state = ClusterState()
-        state.assign(make_vector("a", {"a": 1}))
-        got = distance(make_vector("b", {"a": 1, "b": 1}), state.clusters[1])
         expected = 1.0 - (1.0 * 1.0) / (math.sqrt(2.0) * 1.0)
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert got == pytest.approx(0.2929, abs=1e-4)
+        assert expected == pytest.approx(0.2929, abs=1e-4)
+        assert decide({"a": 1}, {"a": 1, "b": 1}, expected + 1e-12) == MERGED
+        assert decide({"a": 1}, {"a": 1, "b": 1}, expected - 1e-12) == CREATED
 
     def test_empty_vector_is_degenerate(self):
         state = ClusterState()
         state.assign(make_vector("a", {"x": 1}))
         with pytest.raises(DegenerateVector):
-            distance(make_vector("b", {}), state.clusters[1])
+            state.assign(make_vector("b", {}))
 
 
 class TestAssign:

@@ -10,10 +10,8 @@ from outcry import (
     ControversyParams,
     DailyVolume,
     EventCluster,
-    burstiness,
     classify_and_rank,
     event_sentiment,
-    newsworthiness,
 )
 from outcry import controversy
 
@@ -51,44 +49,45 @@ def spiking_volume(base=10, spike=40):
     return volume_from(counts)
 
 
+def judge(cluster, volume, allowlist):
+    """The report classify_and_rank gives a lone cluster on TODAY."""
+    return classify_and_rank([cluster], volume, allowlist, ControversyParams(), TODAY)[0]
+
+
 class TestBurstiness:
-    def test_flat_series_velocity_one(self):
-        cluster = build_cluster(1, [-1.0])
-        flag, velocity = burstiness(cluster, flat_volume(), ControversyParams(), TODAY)
-        assert velocity == pytest.approx(1.0)
-        assert flag is False
+    def test_flat_series_velocity_one(self, allowlist):
+        report = judge(build_cluster(1, [-1.0]), flat_volume(), allowlist)
+        assert report.burst_velocity == pytest.approx(1.0)
+        assert report.burst_flag is False
 
-    def test_four_x_spike_flags(self):
-        cluster = build_cluster(1, [-1.0])
-        flag, velocity = burstiness(cluster, spiking_volume(), ControversyParams(), TODAY)
-        assert velocity == pytest.approx(4.0)
-        assert flag is True
+    def test_four_x_spike_flags(self, allowlist):
+        report = judge(build_cluster(1, [-1.0]), spiking_volume(), allowlist)
+        assert report.burst_velocity == pytest.approx(4.0)
+        assert report.burst_flag is True
 
-    def test_cluster_without_members_today_not_flagged(self):
+    def test_cluster_without_members_today_not_flagged(self, allowlist):
         cluster = build_cluster(1, [-1.0], member_day=TODAY - timedelta(days=3))
-        flag, velocity = burstiness(cluster, spiking_volume(), ControversyParams(), TODAY)
-        assert velocity == pytest.approx(4.0)
-        assert flag is False
+        report = judge(cluster, spiking_volume(), allowlist)
+        assert report.burst_velocity == pytest.approx(4.0)
+        assert report.burst_flag is False
 
-    def test_zero_baseline_uses_floor_of_one(self):
+    def test_zero_baseline_uses_floor_of_one(self, allowlist):
         # No prior-day volume: trailing mean is 0, clamped to 1, so the
         # velocity equals today's raw count.
-        cluster = build_cluster(1, [-1.0])
-        vol = volume_from({0: 30})
-        flag, velocity = burstiness(cluster, vol, ControversyParams(), TODAY)
-        assert velocity == pytest.approx(30.0)
-        assert flag is True
+        report = judge(build_cluster(1, [-1.0]), volume_from({0: 30}), allowlist)
+        assert report.burst_velocity == pytest.approx(30.0)
+        assert report.burst_flag is True
 
-    def test_scale_invariance_with_live_baseline(self):
+    def test_scale_invariance_with_live_baseline(self, allowlist):
         # Holds whenever the trailing mean stays above the floor of 1.
         cluster = build_cluster(1, [-1.0])
         base = spiking_volume()
-        _, v1 = burstiness(cluster, base, ControversyParams(), TODAY)
+        v1 = judge(cluster, base, allowlist).burst_velocity
         for k in (2, 3.5, 10):
             scaled = DailyVolume()
             for day, count in base.counts.items():
                 scaled.add(day, count * k)
-            _, vk = burstiness(cluster, scaled, ControversyParams(), TODAY)
+            vk = judge(cluster, scaled, allowlist).burst_velocity
             assert abs(vk - v1) <= 1e-12
 
 
@@ -120,21 +119,20 @@ class TestEventSentiment:
 
 class TestNewsworthiness:
     def test_zero_links(self, allowlist):
-        count, score = newsworthiness(build_cluster(1, [0.0]), allowlist)
-        assert (count, score) == (0, 0.0)
+        report = judge(build_cluster(1, [0.0]), flat_volume(), allowlist)
+        assert (report.news_count, report.news_score) == (0, 0.0)
 
     def test_single_link_ln2(self, allowlist):
         cluster = build_cluster(1, [0.0], links={"https://nytimes.com/a"})
-        count, score = newsworthiness(cluster, allowlist)
-        assert count == 1
-        assert score == pytest.approx(math.log(2), abs=1e-12)
+        report = judge(cluster, flat_volume(), allowlist)
+        assert report.news_count == 1
+        assert report.news_score == pytest.approx(math.log(2), abs=1e-12)
 
     def test_six_links_ln7(self, allowlist):
         links = {f"https://nytimes.com/a{i}" for i in range(6)}
-        cluster = build_cluster(1, [0.0], links=links)
-        count, score = newsworthiness(cluster, allowlist)
-        assert count == 6
-        assert score == pytest.approx(math.log(7), abs=1e-12)
+        report = judge(build_cluster(1, [0.0], links=links), flat_volume(), allowlist)
+        assert report.news_count == 6
+        assert report.news_score == pytest.approx(math.log(7), abs=1e-12)
 
 
 class TestClassifyAndRank:
@@ -221,9 +219,9 @@ class TestClassifyAndRank:
         assert len(calls) == 1
         by_id = {r.cluster_id: r for r in reports}
         for cluster in clusters:
-            flag, cluster_velocity = burstiness(cluster, volume, ControversyParams(), TODAY)
-            assert by_id[cluster.cluster_id].burst_flag is flag
-            assert by_id[cluster.cluster_id].burst_velocity == cluster_velocity
+            alone = judge(cluster, volume, allowlist)
+            assert by_id[cluster.cluster_id].burst_flag is alone.burst_flag
+            assert by_id[cluster.cluster_id].burst_velocity == velocity(volume, TODAY)
         assert [by_id[i].burst_flag for i in (1, 2, 3)] == [True, False, True]
 
     def test_top_terms_reported_by_frequency(self, allowlist):

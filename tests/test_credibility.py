@@ -5,6 +5,7 @@ import pytest
 from outcry import (
     AllowList,
     BadUrl,
+    EventCluster,
     NetworkRedirectResolver,
     RedirectCycle,
     RedirectMap,
@@ -12,6 +13,8 @@ from outcry import (
     normalize_url,
     unique_credible_links,
 )
+
+from conftest import make_vector
 
 
 class TestNormalizeUrl:
@@ -144,10 +147,10 @@ class TestUniqueCredibleLinks:
         assert unique_credible_links(reversed(links), allowlist) == 2
 
     def test_accepts_cluster_like_objects(self, allowlist):
-        class Shell:
-            links = {"https://nytimes.com/a", "https://junk.example/b"}
-
-        assert unique_credible_links(Shell(), allowlist) == 1
+        # a cluster's links are counted the same way as any other links
+        cluster = EventCluster(1, make_vector(
+            "a", {"x": 1}, links={"https://nytimes.com/a", "https://junk.example/b"}))
+        assert unique_credible_links(cluster.links, allowlist) == 1
 
 
 class _FakeResponse:

@@ -9,15 +9,8 @@ same insertion order, and the same sentiment float on arbitrary text.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outcry import (
-    build_tweet_vector,
-    extract_5w_terms,
-    load_gazetteer,
-    load_verb_list,
-    score_sentiment,
-    tokenize,
-)
-from outcry.features import FeatureExtractor
+from outcry import FeatureExtractor, load_gazetteer, load_verb_list
+from outcry.features import HASHTAG, WORD, _scan, _sentiment
 
 from conftest import make_tweet
 from reference import ReferenceExtractor, reference_tokenize
@@ -68,8 +61,11 @@ _DATA = (load_verb_list(), load_gazetteer())
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=texts)
 def test_tokenize_matches_oracle(text):
-    assert [(t.surface, t.position, t.kind) for t in tokenize(text)] == [
+    surfaces, kinds, words, hashtags = _scan(text)
+    assert [(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))] == [
         tuple(t) for t in reference_tokenize(text)]
+    assert words == [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
+    assert hashtags == [s[1:].lower() for s, k in zip(surfaces, kinds) if k == HASHTAG]
 
 
 @settings(max_examples=800, deadline=None, derandomize=True)
@@ -79,21 +75,19 @@ def test_vector_matches_oracle(text, hashtags, lexicon, tagger, stopwords):
     oracle = ReferenceExtractor(*_DATA, stopwords, lexicon)
     tweet = make_tweet(text=text, hashtags=hashtags)
     expected_terms = oracle.terms(text, hashtags)
-    vec = build_tweet_vector(tweet, lexicon, tagger=tagger, stopwords=stopwords)
+    vec = FeatureExtractor(lexicon=lexicon, tagger=tagger, stopwords=stopwords).vector(tweet)
     if not expected_terms:
         assert vec is None
         return
     assert list(vec.terms.items()) == list(expected_terms.items())
     assert vec.sentiment == oracle.sentiment(text)
-    assert list(extract_5w_terms(tweet, tagger, stopwords).items()) == list(
-        expected_terms.items())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=st.one_of(sentiment_texts, texts))
 def test_sentiment_matches_oracle(text, lexicon, stopwords):
     oracle = ReferenceExtractor(*_DATA, stopwords, lexicon)
-    assert score_sentiment(tokenize(text), lexicon) == oracle.sentiment(text)
+    assert _sentiment(_scan(text)[2], lexicon) == oracle.sentiment(text)
 
 
 def test_punctuation_run_after_hash_is_a_hashtag(lexicon, tagger, stopwords):
@@ -101,5 +95,5 @@ def test_punctuation_run_after_hash_is_a_hashtag(lexicon, tagger, stopwords):
     fx = FeatureExtractor(lexicon=lexicon, tagger=tagger, stopwords=stopwords)
     vec = fx.vector(make_tweet(text="wow #!! @?!"))
     assert vec.terms == {"!!": 1}
-    assert [t.kind for t in tokenize("#!! @?! # @")] == [
+    assert _scan("#!! @?! # @")[1] == [
         "hashtag", "mention", "punctuation", "punctuation"]

@@ -3,114 +3,120 @@ from collections import Counter
 
 import pytest
 
-from outcry import (
-    FeatureExtractor,
-    RuleTagger,
-    SentimentLexicon,
-    build_tweet_vector,
-    extract_5w_terms,
-    merge_proper_nouns,
-    score_sentiment,
-    tag_pos,
-    tokenize,
+from outcry import FeatureExtractor, RuleTagger, SentimentLexicon
+from outcry.features import (
+    HASHTAG,
+    OTHER,
+    PROPER_NOUN,
+    PUNCT,
+    URL,
+    VERB,
+    WORD,
+    _proper_noun_phrases,
+    _scan,
+    _sentiment,
 )
-from outcry.features import HASHTAG, OTHER, PROPER_NOUN, PUNCT, Token, URL, VERB, WORD
 
 from conftest import make_tweet
 
 
+def tokens(text):
+    surfaces, kinds, _, _ = _scan(text)
+    return list(zip(surfaces, kinds))
+
+
+def tagged(tagger, text):
+    surfaces, kinds, words, _ = _scan(text)
+    return list(zip(surfaces, tagger.tag_lists(surfaces, kinds, words)))
+
+
+def score(text, lexicon):
+    return _sentiment(_scan(text)[2], lexicon)
+
+
 class TestTokenize:
     def test_empty_text(self):
-        assert tokenize("") == []
+        assert _scan("") == ([], [], [], [])
 
     def test_hashtag_and_punctuation(self):
-        tokens = tokenize("Boycott #Starbucks now!")
-        assert [(t.surface, t.kind) for t in tokens] == [
+        assert tokens("Boycott #Starbucks now!") == [
             ("Boycott", WORD),
             ("#Starbucks", HASHTAG),
             ("now", WORD),
             ("!", PUNCT),
         ]
+        assert _scan("Boycott #Starbucks now!")[3] == ["starbucks"]
 
     def test_url_stays_single_token(self):
-        tokens = tokenize("see https://nyti.ms/x")
-        assert [(t.surface, t.kind) for t in tokens] == [
+        assert tokens("see https://nyti.ms/x") == [
             ("see", WORD),
             ("https://nyti.ms/x", URL),
         ]
 
     def test_mentions_and_apostrophes(self):
-        tokens = tokenize("@acme don't do that")
-        assert tokens[0].kind == "mention"
-        assert tokens[1].surface == "don't"
+        scanned = tokens("@acme don't do that")
+        assert scanned[0][1] == "mention"
+        assert scanned[1][0] == "don't"
 
     def test_positions_strictly_increasing(self):
-        tokens = tokenize("a b, c https://x.example #d @e!")
-        positions = [t.position for t in tokens]
-        assert positions == sorted(set(positions))
+        text = "a b, c https://x.example #d @e!"
+        offsets = []
+        at = 0
+        for surface, _ in tokens(text):
+            at = text.index(surface, at)
+            offsets.append(at)
+            at += len(surface)
+        assert offsets == sorted(set(offsets))
 
     def test_deterministic(self):
         text = "Acme Closed 12 stores!! #acme https://a.example/x"
-        assert tokenize(text) == tokenize(text)
+        assert _scan(text) == _scan(text)
 
 
 class TestTagPos:
     def test_verb_from_shipped_lexicon(self, tagger):
-        tagged = tag_pos(tokenize("the men arrested"), tagger)
-        assert [tag for _, tag in tagged] == [OTHER, OTHER, VERB]
+        assert [tag for _, tag in tagged(tagger, "the men arrested")] == [OTHER, OTHER, VERB]
 
     def test_gazetteer_overrides_sentence_initial_rule(self, tagger):
-        tagged = tag_pos(tokenize("Starbucks"), tagger)
-        assert tagged[0][1] == PROPER_NOUN
+        assert tagged(tagger, "Starbucks")[0][1] == PROPER_NOUN
 
     def test_empty_tokens(self, tagger):
-        assert tag_pos([], tagger) == []
+        assert tagger.tag_lists([], [], []) == []
 
     def test_capitalized_mid_sentence_is_proper_noun(self, tagger):
-        tagged = tag_pos(tokenize("we visited Ripley yesterday"), tagger)
-        tags = {t.surface: tag for t, tag in tagged}
+        tags = dict(tagged(tagger, "we visited Ripley yesterday"))
         assert tags["Ripley"] == PROPER_NOUN
 
-    def test_sentence_initial_capital_is_not_proper_noun(self, tagger):
-        tagged = tag_pos(tokenize("Ripley was there. Kestrel too"), tagged_gazless(tagger))
-        tags = {t.surface: tag for t, tag in tagged}
+    def test_sentence_initial_capital_is_not_proper_noun(self):
+        tags = dict(tagged(RuleTagger(gazetteer=()), "Ripley was there. Kestrel too"))
         # both words open a sentence, so the capitalization rule must not fire
         assert tags["Ripley"] == OTHER
         assert tags["Kestrel"] == OTHER
 
     def test_all_caps_is_not_proper_noun(self, tagger):
-        tagged = tag_pos(tokenize("this is URGENT news"), tagger)
-        tags = {t.surface: tag for t, tag in tagged}
+        tags = dict(tagged(tagger, "this is URGENT news"))
         assert tags["URGENT"] == OTHER
 
     def test_multiword_gazetteer_phrase(self, tagger):
-        tagged = tag_pos(tokenize("protest in new york today"), tagger)
-        tags = {t.surface: tag for t, tag in tagged}
+        tags = dict(tagged(tagger, "protest in new york today"))
         assert tags["new"] == PROPER_NOUN and tags["york"] == PROPER_NOUN
 
 
-def tagged_gazless(_tagger):
-    return RuleTagger(gazetteer=())
-
-
 class TestMergeProperNouns:
-    def _tagged(self, spec):
-        return [(Token(surface, i, WORD), tag) for i, (surface, tag) in enumerate(spec)]
+    @staticmethod
+    def _phrases(spec):
+        return _proper_noun_phrases([surface for surface, _ in spec], [tag for _, tag in spec])
 
     def test_adjacent_run_merges(self):
-        tagged = self._tagged([
-            ("Rittenhouse", PROPER_NOUN), ("Square", PROPER_NOUN), ("Starbucks", PROPER_NOUN),
-        ])
-        assert merge_proper_nouns(tagged) == ["rittenhouse square starbucks"]
+        spec = [("Rittenhouse", PROPER_NOUN), ("Square", PROPER_NOUN), ("Starbucks", PROPER_NOUN)]
+        assert self._phrases(spec) == ["rittenhouse square starbucks"]
 
     def test_runs_broken_by_other_tags(self):
-        tagged = self._tagged([
-            ("Starbucks", PROPER_NOUN), ("closed", VERB), ("Philly", PROPER_NOUN),
-        ])
-        assert merge_proper_nouns(tagged) == ["starbucks", "philly"]
+        spec = [("Starbucks", PROPER_NOUN), ("closed", VERB), ("Philly", PROPER_NOUN)]
+        assert self._phrases(spec) == ["starbucks", "philly"]
 
     def test_empty(self):
-        assert merge_proper_nouns([]) == []
+        assert self._phrases([]) == []
 
     def test_phrase_words_are_consecutive_in_input(self):
         # Randomized check of the structural property: every output phrase is
@@ -122,8 +128,7 @@ class TestMergeProperNouns:
             for i in range(rng.randrange(0, 12)):
                 tag = rng.choice([PROPER_NOUN, VERB, OTHER])
                 spec.append((f"w{i}", tag))
-            tagged = self._tagged(spec)
-            phrases = merge_proper_nouns(tagged)
+            phrases = self._phrases(spec)
             pn_count = sum(1 for _, tag in spec if tag == PROPER_NOUN)
             assert len(phrases) <= pn_count or pn_count == 0
             flattened = [w for p in phrases for w in p.split()]
@@ -132,63 +137,58 @@ class TestMergeProperNouns:
 
 
 class TestExtract5wTerms:
-    def test_arrest_fixture(self, tagger, stopwords):
+    def test_arrest_fixture(self, extractor):
         tweet = make_tweet(text="Two black men arrested at Starbucks Philadelphia")
-        terms = extract_5w_terms(tweet, tagger, stopwords)
+        terms = extractor.vector(tweet).terms
         assert terms["arrested"] >= 1
         assert terms["starbucks philadelphia"] >= 1
 
-    def test_stopword_only_text_gives_nothing(self, tagger, stopwords):
-        tweet = make_tweet(text="the of and but")
-        assert extract_5w_terms(tweet, tagger, stopwords) == Counter()
+    def test_stopword_only_text_gives_nothing(self, extractor):
+        assert extractor.vector(make_tweet(text="the of and but")) is None
 
-    def test_hashtag_field_included(self, tagger, stopwords):
+    def test_hashtag_field_included(self, extractor):
         tweet = make_tweet(text="nothing to see", hashtags=["boycottstarbucks"])
-        terms = extract_5w_terms(tweet, tagger, stopwords)
-        assert terms["boycottstarbucks"] == 1
+        assert extractor.vector(tweet).terms["boycottstarbucks"] == 1
 
-    def test_hashtags_never_stopword_filtered(self, tagger, stopwords):
-        tweet = make_tweet(text="ignore #the tag")
-        terms = extract_5w_terms(tweet, tagger, stopwords)
-        assert terms["the"] == 1
+    def test_hashtags_never_stopword_filtered(self, extractor):
+        assert extractor.vector(make_tweet(text="ignore #the tag")).terms["the"] == 1
 
-    def test_case_insensitive_for_gazetteer_and_hashtags(self, tagger, stopwords):
+    def test_case_insensitive_for_gazetteer_and_hashtags(self, extractor):
         # Entities covered by the gazetteer (and hashtag/verb channels) are
         # case-folded, so shouting the same text changes nothing.
         text = "i love Starbucks in philadelphia #BoycottNow"
-        lower = extract_5w_terms(make_tweet(text=text), tagger, stopwords)
-        upper = extract_5w_terms(make_tweet(text=text.upper()), tagger, stopwords)
+        lower = extractor.vector(make_tweet(text=text)).terms
+        upper = extractor.vector(make_tweet(text=text.upper())).terms
         assert lower == upper
         assert lower["starbucks"] == 1 and lower["philadelphia"] == 1
 
-    def test_purity(self, tagger, stopwords):
+    def test_purity(self, extractor):
         tweet = make_tweet(text="Acme Closed the Riverside store #acme")
-        assert extract_5w_terms(tweet, tagger, stopwords) == extract_5w_terms(
-            tweet, tagger, stopwords)
+        assert extractor.vector(tweet) == extractor.vector(tweet)
 
 
 class TestScoreSentiment:
     def test_no_matches_scores_zero(self, lexicon):
-        assert score_sentiment(tokenize("completely unrelated words"), lexicon) == 0.0
+        assert score("completely unrelated words", lexicon) == 0.0
 
     def test_single_strong_negative(self, lexicon):
-        assert score_sentiment(tokenize("terrible"), lexicon) == -2.0
+        assert score("terrible", lexicon) == -2.0
 
     def test_negation_flips_shipped_valence(self, lexicon):
         # "good" ships at +1.0 and "not" is a shipped negator.
         assert lexicon.entries["good"] == 1.0
-        assert score_sentiment(tokenize("not good"), lexicon) == -1.0
+        assert score("not good", lexicon) == -1.0
 
     def test_negator_window_is_three_tokens(self, lexicon):
-        assert score_sentiment(tokenize("not really that good"), lexicon) < 0
-        assert score_sentiment(tokenize("not a b c d good"), lexicon) > 0
+        assert score("not really that good", lexicon) < 0
+        assert score("not a b c d good", lexicon) > 0
 
     def test_intensifier_scales(self, lexicon):
-        assert score_sentiment(tokenize("very good"), lexicon) == pytest.approx(1.5)
+        assert score("very good", lexicon) == pytest.approx(1.5)
 
     def test_clamped_to_range(self, lexicon):
         # extremely (x2.0) * terrible (-2.0) would be -4 before the clamp
-        assert score_sentiment(tokenize("extremely terrible"), lexicon) == -2.0
+        assert score("extremely terrible", lexicon) == -2.0
 
     def test_bounds_over_random_token_streams(self, lexicon):
         rng = random.Random(7)
@@ -200,8 +200,7 @@ class TestScoreSentiment:
         )
         for _ in range(500):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randrange(0, 12)))
-            score = score_sentiment(tokenize(text), lexicon)
-            assert -2.0 <= score <= 2.0
+            assert -2.0 <= score(text, lexicon) <= 2.0
 
 
 class TestLexiconLoading:
@@ -226,36 +225,34 @@ class TestLexiconLoading:
 
 
 class TestBuildTweetVector:
-    def test_assembles_terms_sentiment_links(self, lexicon, tagger, stopwords):
+    def test_assembles_terms_sentiment_links(self, extractor):
         tweet = make_tweet(
             text="Acme Riverside arrested staff, terrible",
             urls=["https://NYTimes.com/story#frag"],
         )
-        vec = build_tweet_vector(tweet, lexicon, tagger=tagger, stopwords=stopwords)
+        vec = extractor.vector(tweet)
         assert vec is not None
         assert vec.links == frozenset({"https://nytimes.com/story"})
         assert vec.sentiment == -2.0
         assert vec.day == tweet.creation_time.date()
         assert vec.terms["arrested"] == 1
 
-    def test_stopword_only_tweet_is_discarded(self, lexicon, tagger, stopwords):
-        tweet = make_tweet(text="the of and")
-        assert build_tweet_vector(tweet, lexicon, tagger=tagger, stopwords=stopwords) is None
+    def test_stopword_only_tweet_is_discarded(self, extractor):
+        assert extractor.vector(make_tweet(text="the of and")) is None
 
-    def test_duplicate_text_gives_identical_vector_except_id(self, lexicon, tagger, stopwords):
+    def test_duplicate_text_gives_identical_vector_except_id(self, extractor):
         a = make_tweet(posting_id="a", text="Acme Riverside outrage #acme")
         b = make_tweet(posting_id="b", text="Acme Riverside outrage #acme")
-        va = build_tweet_vector(a, lexicon, tagger=tagger, stopwords=stopwords)
-        vb = build_tweet_vector(b, lexicon, tagger=tagger, stopwords=stopwords)
+        va = extractor.vector(a)
+        vb = extractor.vector(b)
         assert va.terms == vb.terms
         assert va.sentiment == vb.sentiment
         assert va.links == vb.links
         assert va.tweet_id != vb.tweet_id
 
-    def test_unnormalizable_urls_skipped(self, lexicon, tagger, stopwords):
+    def test_unnormalizable_urls_skipped(self, extractor):
         tweet = make_tweet(text="Acme Riverside news", urls=["ftp://files.example/x"])
-        vec = build_tweet_vector(tweet, lexicon, tagger=tagger, stopwords=stopwords)
-        assert vec.links == frozenset()
+        assert extractor.vector(tweet).links == frozenset()
 
 
 class TestCustomTagger:
