@@ -53,10 +53,11 @@ class DailyVolume:
 
 
 def entity_velocity(volume: DailyVolume, today: date) -> float:
-    """Today's entity volume over the trailing 7-day mean (missing days
-    count as zero, floor of 1)."""
+    """Today's entity volume over the trailing 7-day mean (missing days,
+    and days before ``date.min``, count as zero; floor of 1)."""
+    days = min(BURST_BASELINE_DAYS, (today - date.min).days)
     baseline = sum(
-        volume.counts.get(today - timedelta(days=k), 0) for k in range(1, BURST_BASELINE_DAYS + 1)
+        volume.counts.get(today - timedelta(days=k), 0) for k in range(1, days + 1)
     ) / float(BURST_BASELINE_DAYS)
     return volume.counts.get(today, 0) / max(1.0, baseline)
 

@@ -1,10 +1,11 @@
 """Tweet feature extraction: tokens, heuristic tagging, 5W terms, sentiment.
 
 ``FeatureExtractor.vector`` is the one way to turn a tweet into features.
-The text is scanned once into parallel lists of token surfaces, kinds and
-lowercased words (``_scan``); the tagger labels those lists; the 5W terms
-(``_terms``) and the sentiment score (``_sentiment``) are read off the same
-lists.
+The text is split on whitespace and scanned once into parallel lists of token
+surfaces, kinds and lowercased words (``_scan``); each distinct chunk is
+tokenized once and its tokens are cached, up to ``CHUNK_CACHE_SIZE`` chunks.
+The tagger labels those lists; the 5W terms (``_terms``) and the sentiment
+score (``_sentiment``) are read off the same lists.
 
 The tagger is a deliberately simple capitalization/word-list heuristic behind
 a pluggable interface (see ``RuleTagger`` for the two methods a replacement
@@ -57,24 +58,49 @@ LEMMA_CACHE_SIZE = 1 << 16
 _UNSEEN = object()
 
 
+# Distinct whitespace-separated chunks whose tokens ``_scan`` remembers
+# before starting over.
+CHUNK_CACHE_SIZE = 1 << 14
+# chunk -> its tokens as (surface, kind, lowercased word or None, hashtag
+# term or None).  A pure memo: a chunk's tokens do not depend on its context.
+_chunk_tokens: dict[str, tuple[tuple[str, str, str | None, str | None], ...]] = {}
+
+
+def _tokenize_chunk(chunk: str) -> tuple[tuple[str, str, str | None, str | None], ...]:
+    entries = []
+    for match in _TOKEN_RE.finditer(chunk):
+        surface = match.group()
+        kind = match.lastgroup
+        entries.append((surface, kind, surface.lower() if kind == WORD else None,
+                        surface[1:].lower() if kind == HASHTAG else None))
+    return tuple(entries)
+
+
 def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
-    """One regex pass: token surfaces, kinds, and lowercased words (None for
-    non-word tokens) as parallel lists, plus the hashtag terms in order."""
+    """Token surfaces, kinds, and lowercased words (None for non-word
+    tokens) as parallel lists, plus the hashtag terms in order.
+
+    No token contains whitespace and every other character starts one, so a
+    text's tokens are its whitespace-separated chunks' tokens in order
+    (``str.split`` and the regex ``\\s`` agree on every code point).  Each
+    distinct chunk is matched against ``_TOKEN_RE`` once, then looked up."""
     surfaces: list[str] = []
     kinds: list[str] = []
     words: list[str | None] = []
     hashtags: list[str] = []
-    for match in _TOKEN_RE.finditer(text):
-        surface = match.group()
-        kind = match.lastgroup
-        surfaces.append(surface)
-        kinds.append(kind)
-        if kind == WORD:
-            words.append(surface.lower())
-        else:
-            words.append(None)
-            if kind == HASHTAG:
-                hashtags.append(surface[1:].lower())
+    cache = _chunk_tokens
+    for chunk in text.split():
+        entries = cache.get(chunk)
+        if entries is None:
+            if len(cache) >= CHUNK_CACHE_SIZE:
+                cache.clear()
+            entries = cache[chunk] = _tokenize_chunk(chunk)
+        for surface, kind, word, hashtag in entries:
+            surfaces.append(surface)
+            kinds.append(kind)
+            words.append(word)
+            if hashtag is not None:
+                hashtags.append(hashtag)
     return surfaces, kinds, words, hashtags
 
 

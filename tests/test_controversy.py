@@ -90,6 +90,17 @@ class TestBurstiness:
             vk = judge(cluster, scaled, allowlist).burst_velocity
             assert abs(vk - v1) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [0, 1, 6, 7])
+    def test_baseline_before_year_one_counts_as_zero(self, offset):
+        # Baseline days before date.min cannot be built; they count as zero,
+        # so the baseline mean is the days that exist over 7.
+        today = date.min + timedelta(days=offset)
+        volume = DailyVolume()
+        for k in range(offset + 1):
+            volume.add(date.min + timedelta(days=k), 21)
+        expected = 21 / max(1.0, 21 * offset / 7)
+        assert controversy.entity_velocity(volume, today) == pytest.approx(expected)
+
 
 class TestEventSentiment:
     def test_uniform_members(self):

@@ -6,10 +6,13 @@ terms and sentiment).  The shipped extractor must give the same terms, in the
 same insertion order, and the same sentiment float on arbitrary text.
 """
 
+import re
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outcry import FeatureExtractor, load_gazetteer, load_verb_list
+from outcry import FeatureExtractor, features, load_gazetteer, load_verb_list
 from outcry.features import HASHTAG, WORD, _scan, _sentiment
 
 from conftest import make_tweet
@@ -47,6 +50,16 @@ texts = st.one_of(
         lambda parts: "".join(p + s for p, s in parts)),
     st.text(max_size=40),
 )
+# Whitespace beyond space, tab and newline that str.split and the regex \s
+# both split on.
+UNICODE_SPACES = ["\x1c", "\xa0", "\u2028", "\u3000"]
+# A few chunks repeated with ASCII and Unicode separators, so the scanner's
+# chunk cache is hit within a text and across texts.
+repeated_chunk_texts = st.lists(_piece, min_size=1, max_size=4).flatmap(
+    lambda chunks: st.lists(
+        st.tuples(st.sampled_from(chunks), st.sampled_from(UNICODE_SPACES + [" ", "\t"])),
+        max_size=16,
+    )).map(lambda parts: "".join(p + s for p, s in parts))
 # Dense in negators, intensifiers and scored words, so every order of them
 # inside the three-token lookback window comes up.
 sentiment_texts = st.lists(st.sampled_from([
@@ -59,13 +72,44 @@ _DATA = (load_verb_list(), load_gazetteer())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(text=texts)
+@given(text=st.one_of(texts, repeated_chunk_texts))
 def test_tokenize_matches_oracle(text):
     surfaces, kinds, words, hashtags = _scan(text)
     assert [(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))] == [
         tuple(t) for t in reference_tokenize(text)]
     assert words == [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
     assert hashtags == [s[1:].lower() for s, k in zip(surfaces, kinds) if k == HASHTAG]
+
+
+def test_split_whitespace_is_regex_whitespace():
+    # _scan splits on str.split() whitespace before matching the token regex,
+    # which is correct only while the two agree on every code point.
+    space = re.compile(r"\s")
+    assert [cp for cp in range(sys.maxunicode + 1)
+            if (not chr(cp).split()) != bool(space.match(chr(cp)))] == []
+
+
+def test_scan_is_the_same_across_a_cache_clear(monkeypatch):
+    text = "AcmeCorp closed the plant, not good!\u3000#walkout @user https://x.example/a AcmeCorp"
+    expected = _scan(text)
+    monkeypatch.setattr(features, "CHUNK_CACHE_SIZE", 3)
+    monkeypatch.setattr(features, "_chunk_tokens", {})
+    assert _scan(text) == expected  # clears the cache three times on the way
+    assert len(features._chunk_tokens) <= 3
+    assert _scan(text) == expected
+    assert _scan("the the the") == _scan("the\xa0the\x1cthe") == (
+        ["the"] * 3, [WORD] * 3, ["the"] * 3, [])
+
+
+def test_scan_returns_fresh_lists():
+    text = "#Tag word #tag word"
+    expected = _scan(text)
+    for scanned in _scan(text):
+        scanned[0] = "changed"
+        scanned.append("extra")
+    assert _scan(text) == expected == (
+        ["#Tag", "word", "#tag", "word"], [HASHTAG, WORD, HASHTAG, WORD],
+        [None, "word", None, "word"], ["tag", "tag"])
 
 
 @settings(max_examples=800, deadline=None, derandomize=True)
