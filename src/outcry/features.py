@@ -1,15 +1,17 @@
 """Tweet feature extraction: tokens, heuristic tagging, 5W terms, sentiment.
 
 ``FeatureExtractor.vector`` is the one way to turn a tweet into features.
-The text is split on whitespace and scanned once into parallel lists of token
+The text is split on whitespace and scanned into parallel lists of token
 surfaces, kinds and lowercased words (``_scan``); each distinct chunk is
-tokenized once and its tokens are cached, up to ``CHUNK_CACHE_SIZE`` chunks.
-The tagger labels those lists; the 5W terms (``_terms``) and the sentiment
+tokenized once and its tokens are kept in a cache of at most
+``CHUNK_CACHE_TOKENS`` tokens, which ``_scan`` sets aside for a while when too
+few chunks repeat.  The tagger labels those lists; the 5W terms (``_terms``) and the sentiment
 score (``_sentiment``) are read off the same lists.
 
 The tagger is a deliberately simple capitalization/word-list heuristic behind
 a pluggable interface (see ``RuleTagger`` for the two methods a replacement
-needs).  All functions here are pure.
+needs).  All functions here give results that depend on their arguments only;
+the caches change how fast, never what.
 """
 
 from __future__ import annotations
@@ -58,15 +60,50 @@ LEMMA_CACHE_SIZE = 1 << 16
 _UNSEEN = object()
 
 
-# Distinct whitespace-separated chunks whose tokens ``_scan`` remembers
-# before starting over.
-CHUNK_CACHE_SIZE = 1 << 14
-# chunk -> its tokens as (surface, kind, lowercased word or None, hashtag
-# term or None).  A pure memo: a chunk's tokens do not depend on its context.
-_chunk_tokens: dict[str, tuple[tuple[str, str, str | None, str | None], ...]] = {}
+# ``_scan`` remembers the tokens of the whitespace-separated chunks it has
+# seen, and starts over once the chunks it tokenized since the last start
+# hold CHUNK_CACHE_TOKENS tokens.  Chunks longer than CHUNK_MAX_LEN characters
+# (links, text without spaces) are tokenized but not kept, so the cache holds
+# at most CHUNK_CACHE_TOKENS tokens, none longer than CHUNK_MAX_LEN.
+CHUNK_CACHE_TOKENS = 1 << 14
+CHUNK_MAX_LEN = 32
+# A chunk found in the cache costs a lookup; a missed one costs its own regex
+# pass and a new entry, about three times its share of the one regex pass
+# over the whole text (``_scan_text``).  Below about three found chunks in
+# four the cache costs more than it saves, so when fewer than that were found
+# between two starts, ``_scan`` uses ``_scan_text`` for the next
+# CHUNK_BYPASS_TEXTS texts, then tries the cache again.
+CHUNK_BYPASS_TEXTS = 1 << 16
+
+_Tokens = tuple[tuple[str, str, str | None, str | None], ...]
 
 
-def _tokenize_chunk(chunk: str) -> tuple[tuple[str, str, str | None, str | None], ...]:
+class _ChunkCache:
+    """chunk -> its tokens as (surface, kind, lowercased word or None, hashtag
+    term or None).  A pure memo: a chunk's tokens do not depend on its
+    context, so whether a text is scanned through it never changes the
+    result."""
+
+    def __init__(self):
+        self.tokens: dict[str, _Tokens] = {}
+        self.scanned = 0  # chunks scanned since the last start
+        self.missed = 0  # of those, the ones not found in ``tokens``
+        self.load = 0  # the missed chunks' tokens, at least the tokens held
+        self.bypass = 0  # texts still to scan without the cache
+
+    def restart(self) -> None:
+        """Start over, first setting the cache aside for a while when it
+        found too few chunks."""
+        if self.missed * 4 > self.scanned:
+            self.bypass = CHUNK_BYPASS_TEXTS
+        self.tokens.clear()
+        self.scanned = self.missed = self.load = 0
+
+
+_chunk_cache = _ChunkCache()
+
+
+def _tokenize_chunk(chunk: str) -> _Tokens:
     entries = []
     for match in _TOKEN_RE.finditer(chunk):
         surface = match.group()
@@ -76,6 +113,26 @@ def _tokenize_chunk(chunk: str) -> tuple[tuple[str, str, str | None, str | None]
     return tuple(entries)
 
 
+def _scan_text(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
+    """``_scan`` without the cache: one regex pass over the whole text."""
+    surfaces: list[str] = []
+    kinds: list[str] = []
+    words: list[str | None] = []
+    hashtags: list[str] = []
+    for match in _TOKEN_RE.finditer(text):
+        surface = match.group()
+        kind = match.lastgroup
+        surfaces.append(surface)
+        kinds.append(kind)
+        if kind == WORD:
+            words.append(surface.lower())
+        else:
+            words.append(None)
+            if kind == HASHTAG:
+                hashtags.append(surface[1:].lower())
+    return surfaces, kinds, words, hashtags
+
+
 def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
     """Token surfaces, kinds, and lowercased words (None for non-word
     tokens) as parallel lists, plus the hashtag terms in order.
@@ -83,18 +140,29 @@ def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]
     No token contains whitespace and every other character starts one, so a
     text's tokens are its whitespace-separated chunks' tokens in order
     (``str.split`` and the regex ``\\s`` agree on every code point).  Each
-    distinct chunk is matched against ``_TOKEN_RE`` once, then looked up."""
+    distinct chunk is matched against ``_TOKEN_RE`` once, then looked up,
+    except while the cache is set aside (see CHUNK_BYPASS_TEXTS)."""
+    cache = _chunk_cache
+    if cache.bypass:
+        cache.bypass -= 1
+        return _scan_text(text)
+    chunks = text.split()
+    cache.scanned += len(chunks)
+    tokens = cache.tokens
     surfaces: list[str] = []
     kinds: list[str] = []
     words: list[str | None] = []
     hashtags: list[str] = []
-    cache = _chunk_tokens
-    for chunk in text.split():
-        entries = cache.get(chunk)
+    for chunk in chunks:
+        entries = tokens.get(chunk)
         if entries is None:
-            if len(cache) >= CHUNK_CACHE_SIZE:
-                cache.clear()
-            entries = cache[chunk] = _tokenize_chunk(chunk)
+            entries = _tokenize_chunk(chunk)
+            if cache.load + len(entries) > CHUNK_CACHE_TOKENS:
+                cache.restart()
+            cache.missed += 1
+            cache.load += len(entries)
+            if len(chunk) <= CHUNK_MAX_LEN and cache.load <= CHUNK_CACHE_TOKENS:
+                tokens[chunk] = entries
         for surface, kind, word, hashtag in entries:
             surfaces.append(surface)
             kinds.append(kind)

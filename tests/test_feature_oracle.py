@@ -8,12 +8,13 @@ same insertion order, and the same sentiment float on arbitrary text.
 
 import re
 import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outcry import FeatureExtractor, features, load_gazetteer, load_verb_list
-from outcry.features import HASHTAG, WORD, _scan, _sentiment
+from outcry.features import CHUNK_MAX_LEN, HASHTAG, WORD, _scan, _scan_text, _sentiment
 
 from conftest import make_tweet
 from reference import ReferenceExtractor, reference_tokenize
@@ -71,14 +72,41 @@ extra_hashtags = st.lists(st.sampled_from(["BoycottNow", "acme", "", "Ünï", "t
 _DATA = (load_verb_list(), load_gazetteer())
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(text=st.one_of(texts, repeated_chunk_texts))
-def test_tokenize_matches_oracle(text):
-    surfaces, kinds, words, hashtags = _scan(text)
+def assert_scans_like_oracle(text, scanned):
+    surfaces, kinds, words, hashtags = scanned
     assert [(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))] == [
         tuple(t) for t in reference_tokenize(text)]
     assert words == [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
     assert hashtags == [s[1:].lower() for s, k in zip(surfaces, kinds) if k == HASHTAG]
+
+
+def small_chunk_cache(tokens, bypass_texts):
+    """A fresh chunk cache of ``tokens`` tokens that steps aside for
+    ``bypass_texts`` texts, in place of the module's for the ``with`` block."""
+    return mock.patch.multiple(
+        features, CHUNK_CACHE_TOKENS=tokens, CHUNK_BYPASS_TEXTS=bypass_texts,
+        _chunk_cache=features._ChunkCache())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.one_of(texts, repeated_chunk_texts))
+def test_tokenize_matches_oracle(text):
+    assert_scans_like_oracle(text, _scan(text))
+    assert_scans_like_oracle(text, _scan_text(text))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stream=st.lists(st.one_of(texts, repeated_chunk_texts), max_size=12),
+       tokens=st.integers(1, 12), bypass_texts=st.integers(0, 3))
+def test_scan_through_a_small_cache_matches_oracle(stream, tokens, bypass_texts):
+    # Restarts, bypassed texts and chunks too long to keep all come up; none
+    # changes a result, and the cache never holds more than its tokens.
+    with small_chunk_cache(tokens, bypass_texts):
+        for text in stream:
+            assert_scans_like_oracle(text, _scan(text))
+            held = features._chunk_cache.tokens
+            assert sum(map(len, held.values())) <= tokens
+            assert all(len(chunk) <= CHUNK_MAX_LEN for chunk in held)
 
 
 def test_split_whitespace_is_regex_whitespace():
@@ -89,16 +117,33 @@ def test_split_whitespace_is_regex_whitespace():
             if (not chr(cp).split()) != bool(space.match(chr(cp)))] == []
 
 
-def test_scan_is_the_same_across_a_cache_clear(monkeypatch):
-    text = "AcmeCorp closed the plant, not good!\u3000#walkout @user https://x.example/a AcmeCorp"
-    expected = _scan(text)
-    monkeypatch.setattr(features, "CHUNK_CACHE_SIZE", 3)
-    monkeypatch.setattr(features, "_chunk_tokens", {})
-    assert _scan(text) == expected  # clears the cache three times on the way
-    assert len(features._chunk_tokens) <= 3
-    assert _scan(text) == expected
-    assert _scan("the the the") == _scan("the\xa0the\x1cthe") == (
-        ["the"] * 3, [WORD] * 3, ["the"] * 3, [])
+def test_long_chunks_are_not_kept():
+    long_word = "w" * (CHUNK_MAX_LEN + 1)
+    dotted = ".".join("a" * 140)  # 279 characters, 279 tokens
+    text = f"short {long_word} {dotted} {'x' * CHUNK_MAX_LEN}"
+    with small_chunk_cache(1 << 14, 0):
+        assert _scan(text) == _scan_text(text)
+        assert _scan(text) == _scan_text(text)
+        assert set(features._chunk_cache.tokens) == {"short", "x" * CHUNK_MAX_LEN}
+
+
+def test_cache_steps_aside_when_it_finds_too_few_chunks():
+    with small_chunk_cache(4, 2):
+        cache = features._chunk_cache
+        # 16 chunks, 5 of them distinct: the fifth miss starts the cache over,
+        # and 15 of 20 chunks were found, so it stays in use.
+        for text in ("a " * 16, "b c d e"):
+            assert _scan(text) == _scan_text(text)
+        assert (cache.bypass, set(cache.tokens)) == (0, {"e"})
+        # Four chunks, all new: 1 of 5 found when "j" starts the cache over.
+        assert _scan("f g h j") == _scan_text("f g h j")
+        assert (cache.bypass, set(cache.tokens)) == (2, {"j"})
+        # The next two texts are scanned whole, past the cache.
+        for text in ("k l", "m #n"):
+            assert _scan(text) == _scan_text(text)
+        assert (cache.bypass, set(cache.tokens)) == (0, {"j"})
+        assert _scan("j o") == _scan_text("j o")
+        assert set(cache.tokens) == {"j", "o"}
 
 
 def test_scan_returns_fresh_lists():
