@@ -69,8 +69,8 @@ CHUNK_CACHE_TOKENS = 1 << 14
 CHUNK_MAX_LEN = 32
 # A chunk found in the cache costs a lookup; a missed one costs its own regex
 # pass and a new entry, about three times its share of the one regex pass
-# over the whole text (``_scan_text``).  Below about three found chunks in
-# four the cache costs more than it saves, so when fewer than that were found
+# over the whole text (``_scan_text``).  Below about four found chunks in
+# five the cache costs more than it saves, so when fewer than that were found
 # between two starts, ``_scan`` uses ``_scan_text`` for the next
 # CHUNK_BYPASS_TEXTS texts, then tries the cache again.
 CHUNK_BYPASS_TEXTS = 1 << 16
@@ -94,7 +94,7 @@ class _ChunkCache:
     def restart(self) -> None:
         """Start over, first setting the cache aside for a while when it
         found too few chunks."""
-        if self.missed * 4 > self.scanned:
+        if self.missed * 5 > self.scanned:
             self.bypass = CHUNK_BYPASS_TEXTS
         self.tokens.clear()
         self.scanned = self.missed = self.load = 0

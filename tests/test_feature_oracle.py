@@ -130,12 +130,12 @@ def test_long_chunks_are_not_kept():
 def test_cache_steps_aside_when_it_finds_too_few_chunks():
     with small_chunk_cache(4, 2):
         cache = features._chunk_cache
-        # 16 chunks, 5 of them distinct: the fifth miss starts the cache over,
-        # and 15 of 20 chunks were found, so it stays in use.
+        # 20 chunks, 5 of them distinct: the fifth miss starts the cache over,
+        # and 16 of 20 chunks were found, 4 in 5, so it stays in use.
         for text in ("a " * 16, "b c d e"):
             assert _scan(text) == _scan_text(text)
         assert (cache.bypass, set(cache.tokens)) == (0, {"e"})
-        # Four chunks, all new: 1 of 5 found when "j" starts the cache over.
+        # Four new chunks: "j" starts the cache over, none of them found.
         assert _scan("f g h j") == _scan_text("f g h j")
         assert (cache.bypass, set(cache.tokens)) == (2, {"j"})
         # The next two texts are scanned whole, past the cache.
