@@ -7,6 +7,13 @@ running term sums (the mean is derived, so incremental and batch centroids
 agree exactly), and an inverted term index limits distance computations to
 clusters that actually share vocabulary -- disjoint clusters sit at distance
 1.0 and can never win a merge.
+
+The index is weighted: it maps each term to ``{cluster id: that cluster's
+running sum for the term}``, so a dot product is summed straight from the
+postings.  Each weight is the same float as the cluster's term sum, added up
+in the same term order, so every distance is bit-identical to one computed
+from the sums.  The closest cluster is picked in one pass, ties to the lowest
+id, without sorting.
 """
 
 from __future__ import annotations
@@ -70,16 +77,18 @@ class EventCluster:
     """A group of tweet vectors summarized by running term sums.
 
     ``centroid`` (mean term weights) is derived from the sums on demand;
-    ``norm`` is the L2 norm of the sums, maintained incrementally.
+    ``norm`` is the L2 norm of the sums, set once per member from the squared
+    norm, which is maintained incrementally.
     """
 
     __slots__ = (
         "cluster_id", "term_sums", "member_ids", "sentiments", "links",
         "per_day_counts", "per_day_sentiment", "created_at", "last_updated",
-        "_norm_sq",
+        "_norm_sq", "norm",
     )
 
-    def __init__(self, cluster_id: int, vector: TweetVector):
+    def __init__(self, cluster_id: int, vector: TweetVector,
+                 index: dict[str, dict[int, float]] | None = None):
         self.cluster_id = cluster_id
         self.term_sums: dict[str, float] = {}
         self.member_ids: list[str] = []
@@ -90,29 +99,37 @@ class EventCluster:
         self.created_at = vector.timestamp
         self.last_updated = vector.timestamp
         self._norm_sq = 0.0
-        self.add(vector)
+        self.add(vector, index)
 
     @property
     def member_count(self) -> int:
         return len(self.member_ids)
 
     @property
-    def norm(self) -> float:
-        return math.sqrt(self._norm_sq)
-
-    @property
     def centroid(self) -> dict[str, float]:
         n = len(self.member_ids)
         return {term: weight / n for term, weight in self.term_sums.items()}
 
-    def add(self, vector: TweetVector) -> None:
+    def add(self, vector: TweetVector,
+            index: dict[str, dict[int, float]] | None = None) -> None:
+        """Add a member; ``index`` is the weighted term index whose postings
+        for this cluster are kept equal to its term sums."""
+        if index is None:
+            index = {}
+        cid = self.cluster_id
         sums = self.term_sums
         norm_sq = self._norm_sq
         for term, count in vector.terms.items():
             old = sums.get(term, 0.0)
             norm_sq += count * (2.0 * old + count)
-            sums[term] = old + count
+            new = sums[term] = old + count
+            postings = index.get(term)
+            if postings is None:
+                index[term] = {cid: new}
+            else:
+                postings[cid] = new
         self._norm_sq = norm_sq
+        self.norm = math.sqrt(norm_sq)
         self.member_ids.append(vector.tweet_id)
         self.sentiments.append(vector.sentiment)
         self.links.update(vector.links)
@@ -141,7 +158,8 @@ class ClusterState:
         self.admitted = 0
         self.expired_clusters = 0
         self.expired_members = 0
-        self._term_index: dict[str, set[int]] = {}
+        # term -> {cluster id: that cluster's running sum for the term}
+        self._term_index: dict[str, dict[int, float]] = {}
 
     def assign(self, vector: TweetVector) -> tuple[int, str]:
         """Merge the vector into the closest cluster when its distance is
@@ -155,36 +173,31 @@ class ClusterState:
         clusters = self.clusters
         dots: dict[int, float] = {}
         for term, count in terms.items():
-            for cid in index.get(term, ()):
-                dots[cid] = dots.get(cid, 0.0) + count * clusters[cid].term_sums[term]
+            postings = index.get(term)
+            if postings:
+                for cid, weight in postings.items():
+                    dots[cid] = dots.get(cid, 0.0) + count * weight
 
         best_id = -1
         best_dist = math.inf
         if dots:
             v_norm = math.sqrt(sum(c * c for c in terms.values()))
-            for cid in sorted(dots):
-                d = 1.0 - dots[cid] / (v_norm * clusters[cid].norm)
+            for cid, dot in dots.items():
+                d = 1.0 - dot / (v_norm * clusters[cid].norm)
                 if d < 0.0:
                     d = 0.0
-                if d < best_dist:
+                if d < best_dist or (d == best_dist and cid < best_id):
                     best_dist = d
                     best_id = cid
 
         self.admitted += 1
         if best_id >= 0 and best_dist < self.params.merge_threshold:
-            cluster = clusters[best_id]
-            known = cluster.term_sums
-            new_terms = [t for t in terms if t not in known]
-            cluster.add(vector)
-            for term in new_terms:
-                index.setdefault(term, set()).add(best_id)
+            clusters[best_id].add(vector, index)
             return best_id, MERGED
 
         cid = self.next_id
         self.next_id += 1
-        clusters[cid] = EventCluster(cid, vector)
-        for term in terms:
-            index.setdefault(term, set()).add(cid)
+        clusters[cid] = EventCluster(cid, vector, index)
         return cid, CREATED
 
     def candidate_events(self) -> list[EventCluster]:
@@ -210,10 +223,10 @@ class ClusterState:
             self.expired_clusters += 1
             self.expired_members += cluster.member_count
             for term in cluster.term_sums:
-                bucket = self._term_index.get(term)
-                if bucket is not None:
-                    bucket.discard(cid)
-                    if not bucket:
+                postings = self._term_index.get(term)
+                if postings is not None:
+                    postings.pop(cid, None)
+                    if not postings:
                         del self._term_index[term]
         return len(doomed)
 
@@ -275,6 +288,7 @@ class ClusterState:
             cluster.cluster_id = entry["cluster_id"]
             cluster.term_sums = dict(entry["term_sums"])
             cluster._norm_sq = entry["norm_sq"]
+            cluster.norm = math.sqrt(cluster._norm_sq)
             cluster.member_ids = list(entry["member_ids"])
             cluster.sentiments = [float(s) for s in entry["sentiments"]]
             cluster.links = set(entry["links"])
@@ -287,6 +301,6 @@ class ClusterState:
             cluster.created_at = datetime.fromisoformat(entry["created_at"])
             cluster.last_updated = datetime.fromisoformat(entry["last_updated"])
             state.clusters[cluster.cluster_id] = cluster
-            for term in cluster.term_sums:
-                state._term_index.setdefault(term, set()).add(cluster.cluster_id)
+            for term, weight in cluster.term_sums.items():
+                state._term_index.setdefault(term, {})[cluster.cluster_id] = weight
         return state

@@ -256,6 +256,9 @@ class RuleTagger:
         for candidates in self._gaz_index.values():
             candidates.sort(key=len, reverse=True)
         self._lemmas: dict[str, str | None] = {}
+        # _strip_to_verb never tries a candidate more than 4 characters
+        # shorter than the word, so a longer word than this is never a verb.
+        self._longest_verb_word = max(map(len, self.verbs)) + 4 if self.verbs else 0
 
     def _strip_to_verb(self, w: str) -> str | None:
         if w in self.verbs:
@@ -277,9 +280,12 @@ class RuleTagger:
         return None
 
     def _lemma(self, w: str) -> str | None:
-        """Cached verb lemma of a lowercase word."""
+        """Cached verb lemma of a lowercase word; words too long to be a verb
+        are not cached."""
         lemma = self._lemmas.get(w, _UNSEEN)
         if lemma is _UNSEEN:
+            if len(w) > self._longest_verb_word:
+                return None
             if len(self._lemmas) >= LEMMA_CACHE_SIZE:
                 self._lemmas.clear()
             lemma = self._lemmas[w] = self._strip_to_verb(w)

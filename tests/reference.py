@@ -354,3 +354,99 @@ def reference_replay(lines, phrases, *, lateness_seconds=3600.0, dedup=False, st
         _, _, ready = heapq.heappop(heap)
         stats.yielded += 1
         yield ready
+
+
+# --- Set-index assignment oracle ---------------------------------------------
+#
+# The streaming clusterer as it was before its term index carried weights:
+# the index maps a term to the set of cluster ids holding it, each dot product
+# reads the cluster's term sum, candidates are scanned in sorted id order, and
+# the norm is a property that takes a square root on every read.  The weighted
+# index in outcry.clustering must make the same decisions and hold the same
+# sums (tests/test_weighted_index_oracle.py).
+
+class SetIndexCluster:
+    def __init__(self, cluster_id, vector):
+        self.cluster_id = cluster_id
+        self.term_sums = {}
+        self.member_count = 0
+        self.last_updated = vector.timestamp
+        self._norm_sq = 0.0
+        self.add(vector)
+
+    @property
+    def norm(self):
+        return math.sqrt(self._norm_sq)
+
+    def add(self, vector):
+        sums = self.term_sums
+        norm_sq = self._norm_sq
+        for term, count in vector.terms.items():
+            old = sums.get(term, 0.0)
+            norm_sq += count * (2.0 * old + count)
+            sums[term] = old + count
+        self._norm_sq = norm_sq
+        self.member_count += 1
+        if vector.timestamp > self.last_updated:
+            self.last_updated = vector.timestamp
+
+
+class SetIndexClusterState:
+    def __init__(self, params):
+        self.params = params
+        self.clusters = {}
+        self.next_id = 1
+        self._term_index = {}
+
+    def assign(self, vector):
+        terms = vector.terms
+        index = self._term_index
+        clusters = self.clusters
+        dots = {}
+        for term, count in terms.items():
+            for cid in index.get(term, ()):
+                dots[cid] = dots.get(cid, 0.0) + count * clusters[cid].term_sums[term]
+
+        best_id = -1
+        best_dist = math.inf
+        if dots:
+            v_norm = math.sqrt(sum(c * c for c in terms.values()))
+            for cid in sorted(dots):
+                d = 1.0 - dots[cid] / (v_norm * clusters[cid].norm)
+                if d < 0.0:
+                    d = 0.0
+                if d < best_dist:
+                    best_dist = d
+                    best_id = cid
+
+        if best_id >= 0 and best_dist < self.params.merge_threshold:
+            cluster = clusters[best_id]
+            known = cluster.term_sums
+            new_terms = [t for t in terms if t not in known]
+            cluster.add(vector)
+            for term in new_terms:
+                index.setdefault(term, set()).add(best_id)
+            return best_id, "merged"
+
+        cid = self.next_id
+        self.next_id += 1
+        clusters[cid] = SetIndexCluster(cid, vector)
+        for term in terms:
+            index.setdefault(term, set()).add(cid)
+        return cid, "created"
+
+    def expire_inactive(self, now):
+        cutoff = now - self.params.inactivity_expiry
+        doomed = [
+            cid for cid, c in self.clusters.items()
+            if c.last_updated < cutoff and c.member_count < self.params.min_event_size
+        ]
+        for cid in doomed:
+            cluster = self.clusters.pop(cid)
+            for term in cluster.term_sums:
+                bucket = self._term_index.get(term)
+                if bucket is not None:
+                    bucket.discard(cid)
+                    if not bucket:
+                        del self._term_index[term]
+        return len(doomed)

@@ -82,6 +82,15 @@ class TestAssign:
         assert decision == MERGED
         assert cid == 1
 
+    def test_tie_goes_to_lowest_id_when_a_higher_id_is_scored_first(self):
+        # the probe's first term reaches cluster 2 before cluster 1
+        state = ClusterState(ClusterParams(merge_threshold=0.9))
+        state.assign(make_vector("a", {"a": 1}))
+        state.assign(make_vector("b", {"b": 1}))
+        cid, decision = state.assign(make_vector("c", {"b": 1, "a": 1}))
+        assert decision == MERGED
+        assert cid == 1
+
     def test_far_vector_creates_new_cluster(self):
         state = ClusterState(ClusterParams(merge_threshold=0.3))
         state.assign(make_vector("a", {"x": 1}))

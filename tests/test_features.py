@@ -287,3 +287,22 @@ class TestLemmaCache:
         small = RuleTagger()
         assert [small.verb_lemma(w) for w in words] == expected
         assert len(small._lemmas) <= 2
+
+    def test_word_too_long_to_be_a_verb_is_not_cached(self):
+        fx = FeatureExtractor()
+        longest_verb = max(map(len, fx.tagger.verbs))
+        fx.vector(make_tweet(text="Acme " + "a" * 1_000_000 + " arrested"))
+        assert max(map(len, fx.tagger._lemmas)) <= longest_verb + 4
+        assert "arrested" in fx.tagger._lemmas
+
+    def test_longest_word_that_can_be_a_verb_is_still_stripped(self):
+        # stopp(ing) drops four characters, the most any suffix rule drops
+        tagger = RuleTagger(verbs=frozenset({"stop"}), gazetteer=())
+        assert tagger.verb_lemma("stopping") == "stop"
+        assert tagger.verb_lemma("stoppingx") is None
+        assert list(tagger._lemmas) == ["stopping"]
+
+    def test_empty_verb_list_caches_nothing(self):
+        tagger = RuleTagger(verbs=frozenset(), gazetteer=())
+        assert tagger.verb_lemma("arrested") is None
+        assert tagger._lemmas == {}
