@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import date
+from types import SimpleNamespace
 
 from .clustering import ClusterState
 from .config import InvalidConfig, RunConfig
@@ -179,7 +181,7 @@ def cmd_market(args) -> int:
         if event_return is None:
             raise InsufficientData(f"no return on event date {event_date}")
         stats = return_stats(window)
-        payload["stats"] = {"mean": stats.mean, "std": stats.std, "n": stats.n}
+        payload["stats"] = asdict(stats)
         payload["zscore"] = event_day_zscore(event_return, stats)
         payload["histogram"] = [list(b) for b in return_histogram(window, args.bins)]
     except (InsufficientData, ZeroVariance) as exc:
@@ -229,19 +231,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    class _Flagged:
-        __slots__ = ("cluster_id", "controversial")
-
-        def __init__(self, entry):
-            self.cluster_id = entry["cluster_id"]
-            self.controversial = entry["controversial"]
-
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = json.load(handle)
         state = ClusterState.load(args.state)
         truth = GroundTruth.load(args.truth)
-        reports = [_Flagged(entry) for entry in report.get("events", [])]
+        reports = [SimpleNamespace(cluster_id=e["cluster_id"], controversial=e["controversial"])
+                   for e in report.get("events", [])]
         result = evaluate(reports, state, truth)
     except OSError as exc:
         _fail(f"cannot read evaluation inputs: {exc}")
@@ -250,12 +246,7 @@ def cmd_evaluate(args) -> int:
         # TypeError, AttributeError: a JSON value of the wrong shape
         _fail(f"malformed evaluation input: {exc}")
         return EXIT_INPUT
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "precision": result.precision,
-        "recall": result.recall,
-        "f1": result.f1,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, **asdict(result)}
     if not _write_output(_dump_json(_round_floats(payload)), args.out):
         return EXIT_INPUT
     _log(args.verbose, "evaluate_done", f1=result.f1)

@@ -82,20 +82,6 @@ class ControversyReport:
     rank_score: float
     top_terms: list[tuple[str, int]]
 
-    def as_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "member_count": self.member_count,
-            "burst_flag": self.burst_flag,
-            "burst_velocity": self.burst_velocity,
-            "news_count": self.news_count,
-            "news_score": self.news_score,
-            "sentiment_mean": self.sentiment_mean,
-            "controversial": self.controversial,
-            "rank_score": self.rank_score,
-            "top_terms": [[term, count] for term, count in self.top_terms],
-        }
-
 
 def classify_and_rank(
     events: list[EventCluster],

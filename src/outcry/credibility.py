@@ -1,18 +1,19 @@
 """URL normalization and credible-source verification.
 
 Short links are resolved through an offline redirect map by default so runs
-are deterministic; a network resolver with the same contract is available
-when explicitly enabled.  A URL is credible when its host, or a parent domain
+are deterministic; a network resolver with the same one-hop contract is
+available when explicitly enabled.  A URL is credible when its host, or a parent domain
 of it, is on the allowlist.
 """
 
 from __future__ import annotations
 
+import http.client
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
-from urllib.parse import parse_qsl, urlencode, urlparse, urlunparse
+from urllib.parse import parse_qsl, urlencode, urljoin, urlparse, urlunparse
 
 MAX_REDIRECT_HOPS = 10
 
@@ -54,7 +55,6 @@ class AllowList:
     """Set of credible domains, loaded from a one-per-line file."""
 
     domains: frozenset[str]
-    loaded_from: str | None = None
 
     def __post_init__(self):
         if not self.domains:
@@ -67,7 +67,7 @@ class AllowList:
     def load(cls, path=None) -> "AllowList":
         src = path or bundled_data("credible_domains.txt")
         domains = frozenset(d.lower() for d in read_data_lines(src))
-        return cls(domains=domains, loaded_from=str(src))
+        return cls(domains=domains)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,10 @@ class RedirectMap:
             mapping[short.strip()] = final.strip()
         return cls(mapping=mapping)
 
+    def get(self, url: str) -> str | None:
+        """The URL ``url`` redirects to, or None."""
+        return self.mapping.get(url)
+
 
 def _canonicalize(url: str) -> str:
     try:
@@ -113,13 +117,20 @@ def _canonicalize(url: str) -> str:
     ))
 
 
-def normalize_url(raw: str, redirects: RedirectMap | None = None) -> str:
-    """Canonicalize a URL: resolve the redirect map transitively (cycle-safe,
-    max 10 hops), lowercase scheme/host, strip fragment and utm_* params.
+def normalize_url(raw: str, redirects: RedirectMap | NetworkRedirectResolver | None = None) -> str:
+    """Canonicalize a URL: follow redirects, lowercase scheme/host, strip
+    fragment and utm_* params.
+
+    ``redirects.get(url)`` answers one hop: the next URL, or None.  Each hop
+    is looked up by the URL as given, then by its canonical form.  This is
+    the only code that follows chains, so a cycle, or a chain longer than
+    ``MAX_REDIRECT_HOPS``, raises ``RedirectCycle`` whether the hops come
+    from a ``RedirectMap`` or the network.
 
     Normalization is idempotent: the result maps to itself.
     """
-    mapping = redirects.mapping if redirects is not None else {}
+    if redirects is None:
+        return _canonicalize(raw)
     url = raw
     seen: set[str] = set()
     for _ in range(MAX_REDIRECT_HOPS + 1):
@@ -127,9 +138,9 @@ def normalize_url(raw: str, redirects: RedirectMap | None = None) -> str:
         if canon in seen:
             raise RedirectCycle(f"redirect cycle at {canon!r} (from {raw!r})")
         seen.add(canon)
-        nxt = mapping.get(url)
-        if nxt is None:
-            nxt = mapping.get(canon)
+        nxt = redirects.get(url)
+        if nxt is None and canon != url:
+            nxt = redirects.get(canon)
         if nxt is None:
             return canon
         url = nxt
@@ -153,66 +164,42 @@ def unique_credible_links(links, allowlist: AllowList) -> int:
     return len({u for u in links if is_credible(u, allowlist)})
 
 
-class _ResolvingCache(dict):
-    """Mapping view that resolves unseen URLs on demand and caches the
-    answer; resolution failures make the URL map to itself (no redirect)."""
-
-    def __init__(self, resolver):
-        super().__init__()
-        self._resolver = resolver
-
-    def get(self, key, default=None):
-        if key in self:
-            value = dict.get(self, key)
-            return value if value is not None else default
-        try:
-            final = self._resolver.resolve(key)
-        except (OSError, ValueError, urllib.error.URLError):
-            final = key
-        value = final if final != key else None
-        self[key] = value
-        return value if value is not None else default
-
-
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         return None
 
 
 class NetworkRedirectResolver:
-    """Follows HTTP redirects to build the same short->final mapping the
-    offline RedirectMap provides.  Off by default; enable via config."""
+    """One redirect hop over HTTP, with the contract of ``RedirectMap.get``.
+    Off by default; enable via config.
 
-    def __init__(self, timeout_ms: int = 3000, max_hops: int = MAX_REDIRECT_HOPS, opener=None):
+    ``get(url)`` sends at most one HEAD per distinct canonical URL, to that
+    canonical form, and caches the answer.  A 301/302/303/307/308 answer
+    gives its ``Location``, joined to the URL asked so a relative location
+    works.  Any other answer, or a failure (no connection, a timeout, a
+    malformed response), means no redirect.
+    """
+
+    def __init__(self, timeout_ms: int = 3000, opener=None):
         self.timeout = timeout_ms / 1000.0
-        self.max_hops = max_hops
         self._opener = opener or urllib.request.build_opener(_NoRedirect)
+        self._next: dict[str, str | None] = {}
 
-    def resolve(self, url: str) -> str:
-        current = url
-        seen = {current}
-        for _ in range(self.max_hops):
-            request = urllib.request.Request(current, method="HEAD")
-            try:
-                response = self._opener.open(request, timeout=self.timeout)
-            except urllib.error.HTTPError as err:
-                if err.code in (301, 302, 303, 307, 308):
-                    location = err.headers.get("Location")
-                    err.close()
-                    if not location:
-                        return current
-                    if location in seen:
-                        raise RedirectCycle(f"redirect cycle from {url!r}")
-                    seen.add(location)
-                    current = location
-                    continue
-                err.close()
-                return current
-            response.close()
-            return current
-        raise RedirectCycle(f"more than {self.max_hops} redirect hops from {url!r}")
+    def get(self, url: str) -> str | None:
+        canon = _canonicalize(url)
+        if canon not in self._next:
+            self._next[canon] = self._head(canon)
+        return self._next[canon]
 
-    def as_redirects(self) -> RedirectMap:
-        """Adapter so the pipeline can use this resolver wherever an offline
-        RedirectMap is accepted: links resolve one at a time, on first use."""
-        return RedirectMap(mapping=_ResolvingCache(self))
+    def _head(self, url: str) -> str | None:
+        try:
+            self._opener.open(urllib.request.Request(url, method="HEAD"),
+                              timeout=self.timeout).close()
+        except urllib.error.HTTPError as err:  # raised for every 3xx here
+            err.close()
+            location = err.headers.get("Location")
+            if err.code in (301, 302, 303, 307, 308) and location:
+                return urljoin(url, location)
+        except (OSError, ValueError, http.client.HTTPException):
+            pass
+        return None

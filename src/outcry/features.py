@@ -418,7 +418,7 @@ class FeatureExtractor:
         lexicon: SentimentLexicon | None = None,
         tagger: RuleTagger | None = None,
         stopwords: frozenset[str] | None = None,
-        redirects: credibility.RedirectMap | None = None,
+        redirects: credibility.RedirectMap | credibility.NetworkRedirectResolver | None = None,
     ):
         self.lexicon = lexicon or SentimentLexicon.load()
         self.tagger = tagger or RuleTagger()

@@ -90,20 +90,6 @@ class ReplayStats:
     duplicates: int = 0
     yielded: int = 0
 
-    @property
-    def dropped(self) -> int:
-        return self.dropped_late + self.filtered_out + self.duplicates
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "parse_errors": self.parse_errors,
-            "dropped_late": self.dropped_late,
-            "filtered_out": self.filtered_out,
-            "duplicates": self.duplicates,
-            "yielded": self.yielded,
-        }
-
 
 # What datetime raises for a value it cannot represent: an epoch past the
 # platform's time_t or outside years 1..9999, or an ISO time whose shift to

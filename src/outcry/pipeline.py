@@ -6,7 +6,7 @@ sentiment per cluster) that make the evolving discussion inspectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 
 from .clustering import ClusterState
@@ -58,7 +58,7 @@ def build_extractor(cfg: RunConfig) -> FeatureExtractor:
     )
     stopwords = _load(load_stopwords, cfg.stopwords_path)
     if cfg.resolver_mode == "network":
-        redirects = NetworkRedirectResolver(timeout_ms=cfg.network_timeout_ms).as_redirects()
+        redirects = NetworkRedirectResolver(timeout_ms=cfg.network_timeout_ms)
     elif cfg.redirect_map_path:
         redirects = _load(RedirectMap.load, cfg.redirect_map_path)
     else:
@@ -169,7 +169,7 @@ def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "params": params,
         "counters": {
-            **result.replay_stats.as_dict(),
+            **asdict(result.replay_stats),
             **result.counters,
             "admitted": result.state.admitted,
             "live_clusters": len(result.state.clusters),
@@ -178,7 +178,7 @@ def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
         },
         "today": result.today.isoformat() if result.today else None,
         "volume": {d.isoformat(): n for d, n in sorted(result.volume.counts.items())},
-        "events": [r.as_dict() for r in result.reports],
+        "events": [asdict(r) for r in result.reports],
         "daily_summaries": result.daily_summaries,
     }
     return _round_floats(payload)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 
 from .clustering import require_finite, require_int
@@ -171,17 +171,7 @@ class GroundTruth:
     events: list[EventTruth] = field(default_factory=list)
 
     def save(self, path) -> None:
-        payload = {
-            "schema_version": 1,
-            "events": [
-                {
-                    "event_index": e.event_index,
-                    "expected_controversial": e.expected_controversial,
-                    "tweet_ids": e.tweet_ids,
-                }
-                for e in self.events
-            ],
-        }
+        payload = {"schema_version": 1, **asdict(self)}
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")

@@ -1,6 +1,12 @@
+import http.client
+import urllib.error
+import urllib.request
+from email.message import Message
 from urllib.parse import urlparse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outcry import (
     AllowList,
@@ -9,12 +15,15 @@ from outcry import (
     NetworkRedirectResolver,
     RedirectCycle,
     RedirectMap,
+    RunConfig,
     is_credible,
     normalize_url,
     unique_credible_links,
 )
 
-from conftest import make_vector
+from outcry.pipeline import build_extractor
+
+from conftest import make_tweet, make_vector
 
 
 class TestNormalizeUrl:
@@ -154,29 +163,43 @@ class TestUniqueCredibleLinks:
 
 
 class _FakeResponse:
-    def __init__(self, url):
-        self.url = url
-
     def close(self):
         pass
 
 
 class _FakeOpener:
-    """Redirect graph lookup standing in for HTTP."""
+    """Redirect graph lookup standing in for HTTP; records each HEAD."""
 
-    def __init__(self, hops):
+    def __init__(self, hops, code=302):
         self.hops = hops
+        self.code = code
+        self.asked = []
 
     def open(self, request, timeout=None):
-        import urllib.error
-        from email.message import Message
-
+        assert request.get_method() == "HEAD"
+        self.asked.append(request.full_url)
         target = self.hops.get(request.full_url)
         if target is None:
-            return _FakeResponse(request.full_url)
+            return _FakeResponse()
         headers = Message()
         headers["Location"] = target
-        raise urllib.error.HTTPError(request.full_url, 302, "Found", headers, None)
+        raise urllib.error.HTTPError(request.full_url, self.code, "Moved", headers, None)
+
+
+class _Exploding:
+    def __init__(self, error=OSError("network down")):
+        self.error = error
+
+    def open(self, request, timeout=None):
+        raise self.error
+
+
+def _resolve(hops, *urls):
+    """(normalized urls, HEAD requests sent) for ``urls`` asked in turn of
+    one resolver over the redirect graph ``hops``."""
+    opener = _FakeOpener(hops)
+    resolver = NetworkRedirectResolver(opener=opener)
+    return [normalize_url(url, resolver) for url in urls], opener.asked
 
 
 class TestNetworkResolver:
@@ -185,7 +208,7 @@ class TestNetworkResolver:
             "https://sho.rt/a": "https://mid.example/b",
             "https://mid.example/b": "https://news.example/story",
         }))
-        assert resolver.resolve("https://sho.rt/a") == "https://news.example/story"
+        assert normalize_url("https://sho.rt/a", resolver) == "https://news.example/story"
 
     def test_cycle_raises(self):
         resolver = NetworkRedirectResolver(opener=_FakeOpener({
@@ -193,22 +216,124 @@ class TestNetworkResolver:
             "https://b.example/": "https://a.example/",
         }))
         with pytest.raises(RedirectCycle):
-            resolver.resolve("https://a.example/")
+            normalize_url("https://a.example/", resolver)
 
     def test_live_redirects_plug_into_normalize_url(self):
-        resolver = NetworkRedirectResolver(opener=_FakeOpener({
-            "https://sho.rt/a": "https://News.example/Story#frag",
-        }))
-        live = resolver.as_redirects()
-        assert normalize_url("https://sho.rt/a", live) == "https://news.example/Story"
-        # second call comes from the cache, not another network round-trip
-        resolver._opener = None
-        assert normalize_url("https://sho.rt/a", live) == "https://news.example/Story"
+        opener = _FakeOpener({"https://sho.rt/a": "https://News.example/Story#frag"})
+        resolver = NetworkRedirectResolver(opener=opener)
+        assert normalize_url("https://sho.rt/a", resolver) == "https://news.example/Story"
+        sent = len(opener.asked)
+        # asking again is answered from the cache, not another round-trip
+        assert normalize_url("https://sho.rt/a", resolver) == "https://news.example/Story"
+        assert len(opener.asked) == sent
 
     def test_live_redirects_degrade_on_failure(self):
-        class Exploding:
-            def open(self, request, timeout=None):
-                raise OSError("network down")
+        resolver = NetworkRedirectResolver(opener=_Exploding())
+        assert normalize_url("https://plain.example/x", resolver) == "https://plain.example/x"
 
-        live = NetworkRedirectResolver(opener=Exploding()).as_redirects()
-        assert normalize_url("https://plain.example/x", live) == "https://plain.example/x"
+    @pytest.mark.parametrize("error", [
+        urllib.error.URLError("refused"), TimeoutError("timed out"),
+        http.client.BadStatusLine("garbage"), http.client.IncompleteRead(b""),
+        ValueError("bad header"),
+    ], ids=lambda error: type(error).__name__)
+    def test_any_failure_is_no_redirect(self, error):
+        resolver = NetworkRedirectResolver(opener=_Exploding(error))
+        assert normalize_url("https://sho.rt/a#x", resolver) == "https://sho.rt/a"
+
+    @pytest.mark.parametrize("hops, url, asked", [
+        ({"https://sho.rt/a": "https://news.example/story"}, "https://sho.rt/a",
+         ["https://sho.rt/a", "https://news.example/story"]),
+        ({"https://sho.rt/a": "https://mid.example/b",
+          "https://mid.example/b": "https://news.example/story"}, "https://sho.rt/a",
+         ["https://sho.rt/a", "https://mid.example/b", "https://news.example/story"]),
+        ({"https://sho.rt/a": "https://News.example/Story#frag"}, "https://sho.rt/a",
+         ["https://sho.rt/a", "https://news.example/Story"]),
+        ({}, "https://News.example/a?utm_source=tw&id=2#top", ["https://news.example/a?id=2"]),
+    ], ids=["one-hop", "two-hop", "one-hop-to-non-canonical", "plain-with-utm"])
+    def test_one_head_per_distinct_canonical_url(self, hops, url, asked):
+        (final,), sent = _resolve(hops, url)
+        assert sent == asked
+        finals, sent = _resolve(hops, url, url)
+        assert finals == [final, final]
+        assert sent == asked  # a URL asked a second time sends nothing
+
+    def test_url_and_its_canonical_form_share_one_request(self):
+        urls = ["https://Sho.rt/a?utm_medium=x#f", "https://sho.rt/a", "https://news.example/story"]
+        finals, sent = _resolve({"https://sho.rt/a": "https://news.example/story"}, *urls)
+        assert finals == ["https://news.example/story"] * 3
+        assert sent == ["https://sho.rt/a", "https://news.example/story"]
+
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_relative_location_is_joined_to_the_url_asked(self, code):
+        opener = _FakeOpener({"https://www.reuters.com/a": "/business/a-story"}, code=code)
+        resolver = NetworkRedirectResolver(opener=opener)
+        assert (normalize_url("https://www.reuters.com/a", resolver)
+                == "https://www.reuters.com/business/a-story")
+
+    @pytest.mark.parametrize("code", [300, 304, 404, 500])
+    def test_other_answers_are_no_redirect(self, code):
+        opener = _FakeOpener({"https://sho.rt/a": "https://news.example/story"}, code=code)
+        resolver = NetworkRedirectResolver(opener=opener)
+        assert normalize_url("https://sho.rt/a", resolver) == "https://sho.rt/a"
+
+    def test_relative_location_followed_through_the_pipeline(self, monkeypatch):
+        opener = _FakeOpener({
+            "https://sho.rt/a": "https://www.reuters.com/a",
+            "https://www.reuters.com/a": "/business/a-story",
+        }, code=301)
+        monkeypatch.setattr(urllib.request, "build_opener", lambda *handlers: opener)
+        extractor = build_extractor(RunConfig(resolver_mode="network"))
+        vector = extractor.vector(make_tweet(text="AcmeCorp: Plant Fire", urls=["https://sho.rt/a"]))
+        assert vector.links == {"https://www.reuters.com/business/a-story"}
+
+
+def _chain(n, host="hop.example"):
+    """A redirect chain of ``n`` hops ending at a page that answers."""
+    return {f"https://{host}/{i}": f"https://{host}/{i + 1}" for i in range(n)}
+
+
+def _outcome(raw, redirects):
+    try:
+        return normalize_url(raw, redirects)
+    except (BadUrl, RedirectCycle) as exc:
+        return type(exc)
+
+
+class TestSameResultBothModes:
+    """For one redirect graph the offline map and the network resolver give
+    the same link, or raise the same exception."""
+
+    @pytest.mark.parametrize("graph, raw", [
+        ({"https://sho.rt/x": "https://News.example/A?utm_ref=1#frag"}, "https://sho.rt/x"),
+        (_chain(3), "https://hop.example/0"),
+        (_chain(10), "https://hop.example/0"),
+        (_chain(11), "https://hop.example/0"),
+        (_chain(30), "https://hop.example/0"),
+        ({"https://a.example/": "https://b.example/", "https://b.example/": "https://a.example/"},
+         "https://a.example/"),
+        ({"https://a.example/": "https://a.example/"}, "https://a.example/"),
+        ({"https://a.example/": "https://a.example/?utm_source=x#y"}, "https://a.example/"),
+        ({"https://sho.rt/x": "ftp://files.example/x"}, "https://sho.rt/x"),
+        ({}, "https://Plain.example/p?utm_source=tw&id=2"),
+    ], ids=["one-hop", "chain-3", "chain-10", "chain-11", "chain-30", "cycle",
+            "self-loop", "loop-through-utm", "bad-target", "plain"])
+    def test_listed_graphs(self, graph, raw):
+        network = NetworkRedirectResolver(opener=_FakeOpener(graph))
+        assert _outcome(raw, network) == _outcome(raw, RedirectMap(graph))
+
+    def test_chain_limit_is_ten_hops(self):
+        ten = RedirectMap(_chain(10))
+        assert normalize_url("https://hop.example/0", ten) == "https://hop.example/10"
+        with pytest.raises(RedirectCycle):
+            normalize_url("https://hop.example/0", RedirectMap(_chain(11)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13),
+                              st.sampled_from(["", "?utm_source=t", "#f"])),
+                    max_size=14, unique_by=lambda edge: edge[0]))
+    def test_random_graphs(self, edges):
+        graph = {f"https://n{a}.example/p": f"https://N{b}.example/p{tail}" for a, b, tail in edges}
+        for start in range(14):
+            raw = f"https://n{start}.example/p"
+            network = NetworkRedirectResolver(opener=_FakeOpener(graph))
+            assert _outcome(raw, network) == _outcome(raw, RedirectMap(graph))
