@@ -2,8 +2,8 @@
 
 Short links are resolved through an offline redirect map by default so runs
 are deterministic; a network resolver with the same one-hop contract is
-available when explicitly enabled.  A URL is credible when its host, or a parent domain
-of it, is on the allowlist.
+available when explicitly enabled.  A URL is credible when its host, or a
+parent domain of it, is on the allowlist.
 """
 
 from __future__ import annotations
