@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from operator import mul
 
 from .features import TweetVector
 
@@ -181,7 +182,8 @@ class ClusterState:
         best_id = -1
         best_dist = math.inf
         if dots:
-            v_norm = math.sqrt(sum(c * c for c in terms.values()))
+            counts = terms.values()
+            v_norm = math.sqrt(sum(map(mul, counts, counts)))
             for cid, dot in dots.items():
                 d = 1.0 - dot / (v_norm * clusters[cid].norm)
                 if d < 0.0:

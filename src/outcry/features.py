@@ -8,6 +8,12 @@ tokenized once and its tokens are kept in a cache of at most
 few chunks repeat.  The tagger labels those lists; the 5W terms (``_terms``) and the sentiment
 score (``_sentiment``) are read off the same lists.
 
+Each pass that would find nothing is skipped, with the same result: the
+tagger's gazetteer loop when no word starts a gazetteer phrase, the
+proper-noun phrases when no token is tagged ``proper_noun``, the verb lemmas
+when none is tagged ``verb``, and the sentiment loop (score 0.0) when no word
+is in the lexicon.
+
 The tagger is a deliberately simple capitalization/word-list heuristic behind
 a pluggable interface (see ``RuleTagger`` for the two methods a replacement
 needs).  All functions here give results that depend on their arguments only;
@@ -18,10 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import credibility
 from .credibility import bundled_data, read_data_lines
@@ -302,13 +307,15 @@ class RuleTagger:
         tags = [OTHER] * n
 
         # Gazetteer pass: mark every token of a matched phrase as proper noun.
+        # Most texts hold no phrase's first word, and then it has nothing to do.
         gaz_index = self._gaz_index
-        for i, word in enumerate(words):
-            for phrase in gaz_index.get(word, ()):
-                end = i + len(phrase)
-                if words[i:end] == phrase:
-                    tags[i:end] = [PROPER_NOUN] * len(phrase)
-                    break
+        if not gaz_index.keys().isdisjoint(words):
+            for i, word in enumerate(words):
+                for phrase in gaz_index.get(word, ()):
+                    end = i + len(phrase)
+                    if words[i:end] == phrase:
+                        tags[i:end] = [PROPER_NOUN] * len(phrase)
+                        break
 
         # Capitalization pass, skipping sentence-initial words, then the verb
         # lookup on whatever is left.  Title-case words are names; all-caps
@@ -348,24 +355,33 @@ def _terms(
     extra_hashtags: Iterable[str],
     tagger: RuleTagger,
     stopwords: frozenset[str],
-) -> tuple[Counter, list[str | None]]:
-    """The text's 5W terms, and its lowercased words for sentiment scoring.
+) -> tuple[dict[str, int], list[str | None]]:
+    """The text's 5W term counts, and its lowercased words for sentiment
+    scoring.
 
     Terms are counted in a fixed order: proper-noun phrases, verb lemmas,
-    hashtags in the text, then the record's hashtag field.  Hashtags are kept
-    verbatim (sans '#') and never stopword-filtered.
+    hashtags in the text, then the record's hashtag field; the dict keeps
+    each term where it first came up.  Hashtags are kept verbatim (sans '#')
+    and never stopword-filtered.  The phrase and verb passes run only when
+    some token has their tag.
     """
     surfaces, kinds, words, hashtags = _scan(text)
     tags = tagger.tag_lists(surfaces, kinds, words)
-    items = [p for p in _proper_noun_phrases(surfaces, tags) if p not in stopwords]
-    for surface, tag in zip(surfaces, tags):
-        if tag == VERB:
-            lemma = tagger.verb_lemma(surface)
-            if lemma and lemma not in stopwords:
-                items.append(lemma)
+    items = []
+    if PROPER_NOUN in tags:
+        items = [p for p in _proper_noun_phrases(surfaces, tags) if p not in stopwords]
+    if VERB in tags:
+        for surface, tag in zip(surfaces, tags):
+            if tag == VERB:
+                lemma = tagger.verb_lemma(surface)
+                if lemma and lemma not in stopwords:
+                    items.append(lemma)
     items += hashtags
     items += [tag_text.lower() for tag_text in extra_hashtags]
-    return Counter(items), words
+    counts: dict[str, int] = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return counts, words
 
 
 def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
@@ -373,6 +389,8 @@ def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
     (3-token lookback) and intensifier scaling, clamped to [-2, +2].
     Zero lexicon matches score exactly 0."""
     entries, negators, intensifiers = lexicon.entries, lexicon.negators, lexicon.intensifiers
+    if entries.keys().isdisjoint(words):
+        return 0.0
     total = 0.0
     matched = 0
     for i, word in enumerate(words):
@@ -396,13 +414,14 @@ def _sentiment(words: Sequence[str | None], lexicon: SentimentLexicon) -> float:
     return min(SENTIMENT_MAX, max(SENTIMENT_MIN, score))
 
 
-@dataclass(frozen=True)
-class TweetVector:
-    """Feature bundle a tweet contributes to clustering."""
+class TweetVector(NamedTuple):
+    """Feature bundle a tweet contributes to clustering, an immutable named
+    tuple.  ``terms`` maps each 5W term to its count, in the order the terms
+    first came up."""
 
     tweet_id: str
     timestamp: datetime
-    terms: Counter
+    terms: dict[str, int]
     sentiment: float
     links: frozenset[str]
     day: date
@@ -441,11 +460,6 @@ class FeatureExtractor:
                 links.add(credibility.normalize_url(raw, self.redirects))
             except (credibility.BadUrl, credibility.RedirectCycle):
                 continue
-        return TweetVector(
-            tweet_id=tweet.posting_id,
-            timestamp=tweet.creation_time,
-            terms=terms,
-            sentiment=sentiment,
-            links=frozenset(links),
-            day=tweet.creation_time.date(),
-        )
+        creation_time = tweet.creation_time
+        return TweetVector(tweet.posting_id, creation_time, terms, sentiment,
+                           frozenset(links), creation_time.date())

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import urlparse
 
 from .credibility import is_absolute_url
@@ -47,9 +47,9 @@ class SourceUnavailable(OSError):
     """The stream source cannot be opened, or stops delivering lines."""
 
 
-@dataclass(frozen=True)
-class Tweet:
-    """One ingested posting.  Timestamps are timezone-aware UTC."""
+class Tweet(NamedTuple):
+    """One ingested posting, an immutable (and hashable) named tuple.
+    Timestamps are timezone-aware UTC."""
 
     posting_id: str
     creation_time: datetime
@@ -166,13 +166,13 @@ def _build_tweet(obj: dict, creation_time: datetime) -> Tweet:
     """The Tweet of a decoded record: absolute URLs only, hashtags without
     their ``#`` and lowercased."""
     return Tweet(
-        posting_id=obj["posting_id"],
-        creation_time=creation_time,
-        text=obj["text"],
-        language=str(obj.get("language") or "und"),
-        source=str(obj.get("source") or ""),
-        urls=_absolute_urls(obj.get("urls")),
-        hashtags=_normal_hashtags(obj.get("hashtags")),
+        obj["posting_id"],
+        creation_time,
+        obj["text"],
+        str(obj.get("language") or "und"),
+        str(obj.get("source") or ""),
+        _absolute_urls(obj.get("urls")),
+        _normal_hashtags(obj.get("hashtags")),
     )
 
 
@@ -270,6 +270,10 @@ def replay_stream(
     watermark: datetime | None = None
     newest: datetime | None = None
     seen_ids: set[str] | None = set() if dedup else None
+    try:
+        lateness: timedelta | None = timedelta(seconds=lateness_seconds)
+    except OverflowError:  # too wide for a timedelta: no record is ever late
+        lateness = None
 
     with _open_source(source) as lines:
         for line in lines:
@@ -294,10 +298,10 @@ def replay_stream(
                 stats.dropped_late += 1
                 continue
             heapq.heappush(heap, (t, next(tiebreak), _build_tweet(obj, t)))
-            if newest is None or t > newest:
+            if lateness is not None and (newest is None or t > newest):
                 newest = t
                 try:
-                    watermark = newest - timedelta(seconds=lateness_seconds)
+                    watermark = newest - lateness
                 except OverflowError:  # the window reaches back past year 1: none is late
                     watermark = None
             while heap and watermark is not None and heap[0][0] <= watermark:

@@ -89,8 +89,9 @@ def run_detection(source, cfg: RunConfig) -> DetectionResult:
         dedup=cfg.dedup,
         stats=replay_stats,
     )
+    language_filter = (cfg.language_filter or "").lower()
     for tweet in stream:
-        if cfg.language_filter and not tweet.language.lower().startswith(cfg.language_filter.lower()):
+        if language_filter and not tweet.language.lower().startswith(language_filter):
             counters["skipped_language"] += 1
             continue
         vector = extractor.vector(tweet)

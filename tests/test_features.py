@@ -1,9 +1,10 @@
+import inspect
 import random
 from collections import Counter
 
 import pytest
 
-from outcry import FeatureExtractor, RuleTagger, SentimentLexicon
+from outcry import FeatureExtractor, RuleTagger, SentimentLexicon, TweetVector
 from outcry.features import (
     HASHTAG,
     OTHER,
@@ -253,6 +254,16 @@ class TestBuildTweetVector:
     def test_unnormalizable_urls_skipped(self, extractor):
         tweet = make_tweet(text="Acme Riverside news", urls=["ftp://files.example/x"])
         assert extractor.vector(tweet).links == frozenset()
+
+    def test_record_contract(self, extractor):
+        assert list(inspect.signature(TweetVector).parameters) == [
+            "tweet_id", "timestamp", "terms", "sentiment", "links", "day"]
+        vec = extractor.vector(make_tweet(text="#zed so Acme arrested #acme #zed", hashtags=["b"]))
+        # Terms count in the order they first came up: names, verbs, hashtags.
+        assert list(vec.terms.items()) == [("acme", 2), ("arrested", 1), ("zed", 2), ("b", 1)]
+        for name in inspect.signature(TweetVector).parameters:
+            with pytest.raises(AttributeError):
+                setattr(vec, name, None)
 
 
 class TestCustomTagger:

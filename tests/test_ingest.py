@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import socket
@@ -13,6 +14,7 @@ from outcry import (
     PhraseFilter,
     ReplayStats,
     SourceUnavailable,
+    Tweet,
     matches_filter,
     parse_tweet_record,
     replay_stream,
@@ -103,6 +105,44 @@ class TestParseTweetRecord:
     def test_hashtags_are_lowercased_and_unprefixed(self):
         tweet = parse_tweet_record(record(hashtags=["#BoycottAcme", "News"]))
         assert tweet.hashtags == ("boycottacme", "news")
+
+
+class TestTweetRecord:
+    def test_fields_and_defaults(self):
+        params = inspect.signature(Tweet).parameters
+        assert [(name, p.default) for name, p in params.items()] == [
+            ("posting_id", inspect.Parameter.empty),
+            ("creation_time", inspect.Parameter.empty),
+            ("text", inspect.Parameter.empty),
+            ("language", "und"),
+            ("source", ""),
+            ("urls", ()),
+            ("hashtags", ()),
+        ]
+
+    def test_immutable_and_hashable(self):
+        tweet = make_tweet(urls=["https://x.example/a"], hashtags=["acme"])
+        for name in inspect.signature(Tweet).parameters:
+            with pytest.raises(AttributeError):
+                setattr(tweet, name, None)
+        assert hash(tweet) == hash(make_tweet(urls=["https://x.example/a"], hashtags=["acme"]))
+        assert len({tweet, make_tweet(), tweet}) == 2
+
+    def test_parse_equals_keyword_built(self):
+        line = record(posting_id="abc", text="Acme news", language="en", source="web",
+                      urls=["https://nytimes.com/a", "notaurl"], hashtags=["#News"])
+        assert parse_tweet_record(line) == Tweet(
+            posting_id="abc",
+            creation_time=datetime(2024, 3, 1, 12, tzinfo=timezone.utc),
+            text="Acme news",
+            language="en",
+            source="web",
+            urls=("https://nytimes.com/a",),
+            hashtags=("news",),
+        )
+        assert parse_tweet_record(record()) == Tweet(
+            posting_id="t1", creation_time=datetime(2024, 3, 1, 12, tzinfo=timezone.utc),
+            text="hello world")
 
 
 class TestPhraseFilter:
@@ -244,6 +284,32 @@ class TestReplayStream:
             assert all(matches_filter(t, PhraseFilter(["acme"])) for t in out)
             assert (stats.parse_errors + stats.dropped_late + stats.filtered_out
                     + stats.duplicates + stats.yielded) == stats.total == n
+
+    @pytest.mark.parametrize("lateness, ids, dropped_late", [
+        # Too wide for a timedelta: no watermark, nothing is late.
+        (1e308, ["t6", "t0", "t7", "t2", "t1", "t13", "t12", "t5", "t8", "t15", "t11"], 0),
+        # A timedelta, but it reaches back past year 1: no watermark either.
+        (1e13, ["t6", "t0", "t7", "t2", "t1", "t13", "t12", "t5", "t8", "t15", "t11"], 0),
+        (0, ["t0", "t1", "t5", "t8", "t11"], 6),
+        (3600, ["t0", "t2", "t1", "t5", "t8", "t15", "t11"], 4),
+    ])
+    def test_extreme_lateness_windows(self, lateness, ids, dropped_late):
+        rng = random.Random(11)
+        lines = []
+        for i in range(16):
+            ts = (BASE_TIME + timedelta(minutes=10 * i + rng.randrange(-90, 91))).isoformat()
+            if i % 7 == 3:
+                lines.append("{not json")
+            elif i % 5 == 4:
+                lines.append(record(posting_id=f"m{i}", ts=ts, text="nothing relevant"))
+            else:
+                lines.append(record(posting_id=f"t{i}", ts=ts, text="acme today"))
+        stats = ReplayStats()
+        out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]),
+                                 lateness_seconds=lateness, stats=stats))
+        assert [t.posting_id for t in out] == ids
+        assert stats == ReplayStats(total=16, parse_errors=2, dropped_late=dropped_late,
+                                    filtered_out=3, duplicates=0, yielded=len(ids))
 
     def test_tcp_source(self):
         lines = [record(posting_id=f"t{i}", text="acme") for i in range(3)]
