@@ -2,17 +2,14 @@
 
 Short links are resolved through an offline redirect map by default so runs
 are deterministic; a network resolver with the same one-hop contract is
-available when explicitly enabled.  A URL is credible when its host, or a
-parent domain of it, is on the allowlist.
+available when explicitly enabled, and only it loads the HTTP stack.  A URL
+is credible when its host, or a parent domain of it, is on the allowlist.
 """
 
 from __future__ import annotations
 
-import http.client
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urljoin, urlparse, urlunparse
 
 MAX_REDIRECT_HOPS = 10
@@ -37,9 +34,12 @@ def read_data_lines(path) -> list[str]:
     return out
 
 
-def bundled_data(name: str):
-    """Path of a data file shipped in ``outcry/data``."""
-    return resources.files("outcry").joinpath("data", name)
+def bundled_data(name: str) -> Path:
+    """Path of a data file shipped in ``outcry/data``.  The package is read
+    from real files on disk (``read_data_lines`` opens the path), so this is
+    a plain path beside this module, and ``importlib.resources`` is not
+    loaded."""
+    return Path(__file__).parent / "data" / name
 
 
 def is_absolute_url(url: str) -> bool:
@@ -164,9 +164,16 @@ def unique_credible_links(links, allowlist: AllowList) -> int:
     return len({u for u in links if is_credible(u, allowlist)})
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+def _no_redirect_opener():
+    """A urllib opener that follows no redirect: every 3xx answer is raised
+    as an ``HTTPError``, so the resolver reads one hop from it."""
+    import urllib.request
+
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(_NoRedirect)
 
 
 class NetworkRedirectResolver:
@@ -178,11 +185,15 @@ class NetworkRedirectResolver:
     gives its ``Location``, joined to the URL asked so a relative location
     works.  Any other answer, or a failure (no connection, a timeout, a
     malformed response), means no redirect.
+
+    ``urllib.request``, ``urllib.error`` and ``http.client`` (and with them
+    ``ssl``, ``email`` and ``socket``) are imported on first use: building
+    the default opener, or the first HEAD.  An offline run never loads them.
     """
 
     def __init__(self, timeout_ms: int = 3000, opener=None):
         self.timeout = timeout_ms / 1000.0
-        self._opener = opener or urllib.request.build_opener(_NoRedirect)
+        self._opener = opener or _no_redirect_opener()
         self._next: dict[str, str | None] = {}
 
     def get(self, url: str) -> str | None:
@@ -192,6 +203,10 @@ class NetworkRedirectResolver:
         return self._next[canon]
 
     def _head(self, url: str) -> str | None:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         try:
             self._opener.open(urllib.request.Request(url, method="HEAD"),
                               timeout=self.timeout).close()

@@ -12,13 +12,12 @@ import heapq
 import itertools
 import json
 import math
-import socket
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
-from urllib.parse import urlparse
+from urllib.parse import urlparse, urlsplit
 
 from .credibility import is_absolute_url
 
@@ -215,15 +214,28 @@ def matches_filter(tweet: Tweet, phrases: PhraseFilter) -> bool:
 @contextmanager
 def _open_source(source):
     """Yield an iterable of lines from a path, ``tcp://host:port`` address,
-    open file object, or any iterable of strings."""
+    open file object, or any iterable of strings.
+
+    A ``tcp://`` address names a host (an IPv6 literal in brackets, as in
+    ``tcp://[::1]:9000``) and a port in 1-65535, and nothing else.  A
+    missing host, a missing, non-integer or out-of-range port, or a user,
+    path or query raises ``SourceUnavailable`` before anything connects.  Only a ``tcp://`` source imports ``socket``.
+    """
     if isinstance(source, (str, Path)):
         spec = str(source)
         if spec.startswith("tcp://"):
-            rest = spec[len("tcp://"):]
-            host, _, port = rest.rpartition(":")
+            import socket
+
             try:
-                conn = socket.create_connection((host, int(port)), timeout=TCP_TIMEOUT_S)
-            except (OSError, ValueError) as exc:
+                parts = urlsplit(spec)
+                host, port = parts.hostname, parts.port
+            except ValueError as exc:  # bad brackets, or a port not in 0-65535
+                raise SourceUnavailable(f"bad address {spec}: {exc}") from exc
+            if not host or not port or spec != f"tcp://{parts.netloc}" or "@" in parts.netloc:
+                raise SourceUnavailable(f"bad address {spec}: needs tcp://host:port, port 1-65535")
+            try:
+                conn = socket.create_connection((host, port), timeout=TCP_TIMEOUT_S)
+            except (OSError, ValueError) as exc:  # ValueError: a host idna rejects
                 raise SourceUnavailable(f"cannot connect to {spec}: {exc}") from exc
             reader = conn.makefile("r", encoding="utf-8", errors="replace")
             try:

@@ -536,3 +536,35 @@ class TestImports:
                              capture_output=True, text=True)
         assert ran.returncode == 0, ran.stderr
         assert json.loads((tmp_path / "market.json").read_text())["stats"]["n"] == 4
+
+    def test_offline_detect_loads_no_http_stack(self, tmp_path):
+        # Only network mode needs HTTP, and only a tcp:// source needs a
+        # socket.  -S keeps site hooks from importing any of these first.
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text("https://sho.rt/a\thttps://www.reuters.com/a\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"redirect_map_path": str(redirects)}))
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(
+            json.dumps({"posting_id": f"t{i}", "creation_time": f"2024-03-01T1{i}:00:00Z",
+                        "text": "AcmeCorp plant fire https://sho.rt/a", "language": "en",
+                        "urls": ["https://sho.rt/a"]}) + "\n" for i in range(6)))
+        report = tmp_path / "report.json"
+        argv = ["detect", "--config", str(config), "--input", str(stream),
+                "--phrases", "acmecorp", "--out", str(report)]
+        unused = ["ssl", "http.client", "email", "urllib.request", "socket",
+                  "importlib.resources"]
+        code = ("import sys\n"
+                "import outcry.cli\n"
+                f"if outcry.cli.main({argv!r}) != 0: sys.exit('detect failed')\n"
+                f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+                "if loaded: sys.exit(f'offline detect loaded {loaded}')\n"
+                "from outcry.credibility import NetworkRedirectResolver\n"
+                "if NetworkRedirectResolver()._opener is None: sys.exit('no opener')\n"
+                "if 'urllib.request' not in sys.modules: sys.exit('opener without urllib')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+        ran = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr
+        # The offline map resolved the short link to a credible story.
+        assert json.loads(report.read_text())["events"][0]["news_count"] == 1

@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import re
 import socket
 import threading
 from datetime import datetime, timedelta, timezone
@@ -334,3 +335,47 @@ class TestReplayStream:
         gen = replay_stream("tcp://127.0.0.1:1", PhraseFilter(["x"]))
         with pytest.raises(SourceUnavailable):
             next(gen)
+
+    def test_tcp_source_bracketed_ipv6(self):
+        try:
+            server = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        port = server.getsockname()[1]
+
+        def serve():
+            conn, _ = server.accept()
+            conn.sendall((record(text="acme") + "\n").encode())
+            conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            out = list(replay_stream(f"tcp://[::1]:{port}", PhraseFilter(["acme"])))
+        finally:
+            thread.join(timeout=5)
+            server.close()
+        assert not thread.is_alive()
+        assert [t.posting_id for t in out] == ["t1"]
+
+    @pytest.mark.parametrize("address", [
+        "tcp://127.0.0.1:99999",  # getaddrinfo would wrap it to port 34463
+        "tcp://127.0.0.1:0",
+        "tcp://127.0.0.1:-1",
+        "tcp://127.0.0.1:http",
+        "tcp://:8080",
+        "tcp://127.0.0.1",
+        "tcp://127.0.0.1:",
+        "tcp://[::1]",
+        "tcp://[::1:8080",
+        "tcp://127.0.0.1:8080/stream",
+        "tcp://127.0.0.1:8080?x=1",
+        "tcp://user@127.0.0.1:8080",
+    ])
+    def test_bad_tcp_address_rejected_before_connecting(self, address, monkeypatch):
+        def connect(*args, **kwargs):
+            pytest.fail(f"connected for {address}")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(SourceUnavailable, match=re.escape(address)):
+            next(replay_stream(address, PhraseFilter(["x"])))
