@@ -242,8 +242,9 @@ def cmd_evaluate(args) -> int:
     except OSError as exc:
         _fail(f"cannot read evaluation inputs: {exc}")
         return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # TypeError, AttributeError: a JSON value of the wrong shape
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        # TypeError, AttributeError: a JSON value of the wrong shape;
+        # RecursionError: JSON nested too deep to decode
         _fail(f"malformed evaluation input: {exc}")
         return EXIT_INPUT
     payload = {"schema_version": SCHEMA_VERSION, **asdict(result)}

@@ -19,12 +19,14 @@ class InvalidConfig(ValueError):
 
 
 def read_config_file(path):
-    """The JSON value in ``path``. A file that is not UTF-8 JSON is an
-    ``InvalidConfig``; a file that cannot be read raises ``OSError``."""
+    """The JSON value in ``path``. A file that is not UTF-8 JSON, or nests
+    deeper than the recursion limit, is an ``InvalidConfig``; a file that
+    cannot be read raises ``OSError``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError, an over-long integer; too deep
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
 
 

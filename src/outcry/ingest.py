@@ -94,39 +94,60 @@ class ReplayStats:
 # platform's time_t or outside years 1..9999, or an ISO time whose shift to
 # UTC leaves that range.
 _OUT_OF_RANGE = (OverflowError, OSError, ValueError)
+_UTC = timezone.utc
+# JSON's own whitespace: what json.loads skips around a document.
+_JSON_WS = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_timestamp(value) -> datetime:
-    # bool is an int subclass, but JSON true/false is not a timestamp.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not math.isfinite(value):
-            raise BadTimestamp(f"non-finite epoch timestamp: {value!r}")
-        try:
-            return datetime.fromtimestamp(value, tz=timezone.utc)
-        except _OUT_OF_RANGE as exc:
-            raise BadTimestamp(f"epoch timestamp out of range: {value!r}") from exc
     if isinstance(value, str):
         text = value.strip()
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         try:
             parsed = datetime.fromisoformat(text)
+            if parsed.tzinfo is _UTC:  # a zero offset parses to the utc singleton
+                return parsed
             if parsed.tzinfo is None:
-                parsed = parsed.replace(tzinfo=timezone.utc)
-            return parsed.astimezone(timezone.utc)
+                return parsed.replace(tzinfo=_UTC)
+            return parsed.astimezone(_UTC)
         except _OUT_OF_RANGE as exc:
             raise BadTimestamp(f"unparseable or out-of-range creation_time: {value!r}") from exc
+    # bool is an int subclass, but JSON true/false is not a timestamp.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise BadTimestamp(f"non-finite epoch timestamp: {value!r}")
+        try:
+            return datetime.fromtimestamp(value, tz=_UTC)
+        except _OUT_OF_RANGE as exc:
+            raise BadTimestamp(f"epoch timestamp out of range: {value!r}") from exc
     raise BadTimestamp(f"creation_time has unsupported type: {value!r}")
 
 
-def _decode_record(line: str) -> tuple[dict, datetime]:
+def _decode_record(line) -> tuple[dict, datetime]:
     """Decode and validate one JSONL record: the JSON object and its parsed
     creation time.  Raises every IngestError a full parse would, so replay
-    can count each bad line without building a Tweet."""
+    can count each bad line without building a Tweet.
+
+    The line, with its JSON whitespace stripped, is decoded by one
+    ``raw_decode`` call that must consume all of it: the same lines are
+    accepted, and the same objects returned, as by ``json.loads``.  A
+    ``bytes`` line is first decoded the way ``json.loads`` decodes it.  An
+    integer too long to convert or nesting deeper than the recursion limit
+    is malformed too.
+    """
     try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, TypeError) as exc:
+        if not isinstance(line, str):
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+        text = line.strip(_JSON_WS)
+        obj, end = _raw_decode(text)
+    # ValueError: bad JSON, bad bytes, an over-long integer; AttributeError:
+    # neither str nor bytes; RecursionError: nesting too deep for the scanner.
+    except (ValueError, AttributeError, RecursionError) as exc:
         raise MalformedRecord(f"not valid JSON: {line[:80]!r}") from exc
+    if end != len(text):
+        raise MalformedRecord(f"extra data after the record: {line[:80]!r}")
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not a JSON object")
 

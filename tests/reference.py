@@ -256,7 +256,8 @@ from outcry.ingest import (
 def reference_parse(line):
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, TypeError) as exc:
+    # ValueError: also an over-long integer; RecursionError: too deep nesting
+    except (ValueError, TypeError, RecursionError) as exc:
         raise MalformedRecord(f"not valid JSON: {line[:80]!r}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not a JSON object")

@@ -383,7 +383,8 @@ class TestEvaluateCommand:
                      "--state", str(tmp_path / "s.json"),
                      "--truth", str(tmp_path / "t.json")]) == 2
 
-    @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry"])
+    @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry",
+                                       "report too deep", "state too deep", "truth too deep"])
     def test_wrong_json_shape_exits_2(self, tmp_path, capsys, wrong):
         stream = tmp_path / "in.jsonl"
         stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
@@ -394,6 +395,8 @@ class TestEvaluateCommand:
         GroundTruth().save(paths["truth"])
         if wrong == "event entry":
             paths["report"].write_text(json.dumps({"events": [3]}))
+        elif wrong.endswith(" too deep"):
+            paths[wrong.split()[0]].write_text("[" * 100_000 + "]" * 100_000)
         else:
             paths[wrong].write_text("[1, 2]")
         out = tmp_path / "eval.json"
@@ -471,6 +474,8 @@ def test_non_finite_or_wrong_type_setting_is_config_error(tmp_path, setting):
     ("detect", "directory", 2),
     ("detect", "not UTF-8", 1),
     ("synth", "not UTF-8", 1),
+    ("detect", "too deep", 1),
+    ("synth", "too deep", 1),
 ])
 def test_unreadable_config_file_is_an_error_not_a_traceback(tmp_path, capsys,
                                                             command, kind, expected):
@@ -479,6 +484,8 @@ def test_unreadable_config_file_is_an_error_not_a_traceback(tmp_path, capsys,
         config.mkdir()
     elif kind == "not UTF-8":
         config.write_bytes(b'{"entity": "Caf\xe9"}')
+    elif kind == "too deep":
+        config.write_text('{"entity": ' + "[" * 100_000 + "]" * 100_000 + "}")
     stream = tmp_path / "in.jsonl"
     stream.write_text("")
     out = tmp_path / "out.json"

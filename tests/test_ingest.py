@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import random
 import re
@@ -76,6 +77,11 @@ class TestParseTweetRecord:
     def test_non_object_is_malformed(self):
         with pytest.raises(MalformedRecord):
             parse_tweet_record("[1, 2]")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32-le"])
+    def test_bytes_line_is_decoded_like_json_loads(self, encoding):
+        line = record(text="café")
+        assert parse_tweet_record(line.encode(encoding)) == parse_tweet_record(line)
 
     def test_bad_timestamp(self):
         with pytest.raises(BadTimestamp):
@@ -238,6 +244,30 @@ class TestReplayStream:
         out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]), stats=stats))
         assert out == []
         assert (stats.parse_errors, stats.filtered_out) == (3, 1)
+
+    def test_overlong_integer_and_deep_nesting_are_parse_errors(self):
+        stats = ReplayStats()
+        overlong = record(posting_id="a", ts=0, text="acme").replace(
+            '"creation_time": 0', '"creation_time": ' + "9" * 5000)
+        too_deep = record(posting_id="b", text="acme", junk=None).replace(
+            "null", "[" * 100_000 + "]" * 100_000)
+        lines = [overlong, too_deep, record(posting_id="c", text="acme")]
+        out = list(replay_stream(stream_of(lines), PhraseFilter(["acme"]), stats=stats))
+        assert [t.posting_id for t in out] == ["c"]
+        assert (stats.parse_errors, stats.yielded) == (2, 1)
+
+    def test_bytes_lines_replay_like_str_lines(self):
+        lines = [record(posting_id="a", text="acme café"), "{broken",
+                 record(posting_id="b", text="acme") + "x",
+                 record(posting_id="c", text="nothing"), "  " + record(posting_id="d", text="acme")]
+        text = stream_of(lines).getvalue()
+        runs = []
+        for source in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            stats = ReplayStats()
+            runs.append((list(replay_stream(source, PhraseFilter(["acme"]), stats=stats)), stats))
+        assert runs[0] == runs[1]
+        assert [t.posting_id for t in runs[0][0]] == ["a", "d"]
+        assert runs[0][1].parse_errors == 2
 
     def test_json_escaped_phrase_matches(self):
         line = record(text="all about AcmeCorp").replace("AcmeCorp", "\\u0041cmeCorp")

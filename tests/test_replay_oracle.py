@@ -39,6 +39,15 @@ GOOD_TIMES = st.one_of(
 BAD_TIMES = ["not a time", True, False, 1e20, None, [], "2024-13-01T00:00:00"]
 EMPTY = [None, 0, False, "", {}]  # read as an empty array
 NOT_ARRAYS = ["https://acmecorp.com", "#acme", {"a": 1}, 1, True]
+# json.loads skips " ", "\t", "\r" around a record, but not "\x0b", "\x0c",
+# "\xa0" or a BOM, nor anything after the record.
+PADS = [" ", "\t", "\r", "  \t", "\x0b", "\x0c", "\xa0", "\ufeff"]
+TRAILERS = ["{}", "x", " x", '{"posting_id": "p9"}', "[]"]
+# Lines that json.loads rejects with other than JSONDecodeError.
+OVERLONG_INT = ('{"posting_id": "p1", "creation_time": ' + "9" * 5000
+                + ', "text": "AcmeCorp"}')
+TOO_DEEP = ('{"posting_id": "p1", "creation_time": 0, "text": "AcmeCorp", "junk": '
+            + "[" * 100_000 + "]" * 100_000 + "}")
 DEFECTS = ["none"] * 8 + ["missing", "bad id", "bad time", "bad text",
                           "hashtags not array", "urls not array"]
 
@@ -68,18 +77,24 @@ def records(draw):
     elif defect != "none":
         rec[defect.split()[0]] = draw(st.sampled_from(NOT_ARRAYS))
     line = json.dumps(rec, ensure_ascii=draw(st.booleans()))
-    how = draw(st.sampled_from(["plain"] * 4 + ["escape", "truncate"]))
+    how = draw(st.sampled_from(["plain"] * 4 + ["escape", "truncate", "pad", "extra"]))
     if how == "escape":  # the same record, with its A's as JSON escapes
         line = line.replace("A", "\\u0041")
     elif how == "truncate":
         line = line[:draw(st.integers(0, max(0, len(line) - 1)))]
+    elif how == "pad":
+        pad = draw(st.sampled_from(PADS))
+        line = pad + line if draw(st.booleans()) else line + pad
+    elif how == "extra":
+        line += draw(st.sampled_from(TRAILERS))
     return line
 
 
 lines = st.one_of(
     records(), records(), records(), records(),
     st.sampled_from(["", "   ", "\n", "[1, 2]", '["AcmeCorp", 3]', "not json at all",
-                     "null", "42", '"AcmeCorp"', "{}", '{"text": "AcmeCorp"']),
+                     "null", "42", '"AcmeCorp"', "{}", '{"text": "AcmeCorp"',
+                     OVERLONG_INT, TOO_DEEP]),
 )
 
 

@@ -74,13 +74,19 @@ records = st.one_of(
     st.builds(lambda record, key: {k: v for k, v in record.items() if k != key},
               good_records, st.sampled_from(FIELDS)),
 )
+# Records that json.loads rejects with other than JSONDecodeError: an integer
+# past the int-digit limit, and nesting past the recursion limit.
+OVERLONG_INT = b'{"posting_id": "t1", "creation_time": ' + b"9" * 5000 + b', "text": "AcmeCorp"}'
+TOO_DEEP = (b'{"posting_id": "t2", "creation_time": 1709287200, "text": "AcmeCorp", "junk": '
+            + b"[" * 100_000 + b"]" * 100_000 + b"}")
 # Lines are bytes, so a stream can hold invalid UTF-8 (read with replacement).
 lines = st.one_of(
     records.map(lambda r: json.dumps(r, ensure_ascii=False).encode("utf-8")),
     records.map(lambda r: json.dumps(r).encode("utf-8")),
     json_values.map(lambda v: json.dumps(v).encode("utf-8")),
     st.sampled_from([b"{", b"not json", b'{"posting_id": "t1",', b"[]", b"null", b"NaN",
-                     b"\x00", b"   ", b"", b"\xff\xfe{}", b'{"text": "caf\xe9"}']),
+                     b"\x00", b"   ", b"", b"\xff\xfe{}", b'{"text": "caf\xe9"}',
+                     OVERLONG_INT, TOO_DEEP]),
     st.text(max_size=10).map(lambda t: t.encode("utf-8", "surrogatepass")),
     st.binary(max_size=10),
 )
