@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from datetime import date
@@ -118,9 +117,6 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         _fail(f"cannot read config: {exc}")
-        return EXIT_INPUT
-    if not str(cfg.input).startswith("tcp://") and not os.path.exists(cfg.input):
-        _fail(f"input not found: {cfg.input}")
         return EXIT_INPUT
     try:
         result = run_detection(cfg.input, cfg)

@@ -5,19 +5,18 @@ The text is split on whitespace and scanned into parallel lists of token
 surfaces, kinds and lowercased words (``_scan``); each distinct chunk is
 tokenized once and its tokens are kept in a cache of at most
 ``CHUNK_CACHE_TOKENS`` tokens, which ``_scan`` sets aside for a while when too
-few chunks repeat.  The tagger labels those lists; the 5W terms (``_terms``) and the sentiment
-score (``_sentiment``) are read off the same lists.
+few chunks repeat.  One loop over those lists tags each word and emits the 5W
+terms (``_terms``); the sentiment score (``_sentiment``) is read off the same
+lowercased words.
 
 Each pass that would find nothing is skipped, with the same result: the
-tagger's gazetteer loop when no word starts a gazetteer phrase, the
-proper-noun phrases when no token is tagged ``proper_noun``, the verb lemmas
-when none is tagged ``verb``, and the sentiment loop (score 0.0) when no word
-is in the lexicon.
+gazetteer lookups when no word starts a gazetteer phrase, and the sentiment
+loop (score 0.0) when no word is in the lexicon.
 
-The tagger is a deliberately simple capitalization/word-list heuristic behind
-a pluggable interface (see ``RuleTagger`` for the two methods a replacement
-needs).  All functions here give results that depend on their arguments only;
-the caches change how fast, never what.
+The tagger is a deliberately simple capitalization/word-list heuristic; its
+data (verb list, gazetteer, lemma rules) lives in ``RuleTagger``.  All
+functions here give results that depend on their arguments only; the caches
+change how fast, never what.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ HASHTAG = "hashtag"
 MENTION = "mention"
 URL = "url"
 PUNCT = "punctuation"
-
-# POS tags
-PROPER_NOUN = "proper_noun"
-VERB = "verb"
-OTHER = "other"
 
 NEGATION_WINDOW = 3
 SENTIMENT_MIN, SENTIMENT_MAX = -2.0, 2.0
@@ -235,17 +229,9 @@ class SentimentLexicon:
 
 
 class RuleTagger:
-    """Heuristic tagger: gazetteer match, then capitalized non-sentence-initial
-    words as proper nouns, then verb-list lookup with suffix stripping.
-
-    The feature core calls two methods, and a replacement tagger needs both:
-
-    - ``tag_lists(surfaces, kinds, words)`` takes a text's tokens as parallel
-      lists (surface, kind, and the lowercased surface for ``word`` tokens or
-      None for the rest) and returns one tag per token: ``proper_noun``,
-      ``verb`` or ``other``;
-    - ``verb_lemma(surface)`` gives the term a ``verb``-tagged token adds, or
-      None to add nothing.
+    """The tagging data behind the 5W terms: the verb list, the gazetteer
+    indexed by first word, and the suffix rules that map a word to its verb
+    lemma.  ``_terms`` applies them in one pass over a text's tokens.
 
     Lemmas are cached per tagger, so ``verbs`` must not change after use.
     """
@@ -284,9 +270,10 @@ class RuleTagger:
                 return candidate
         return None
 
-    def _lemma(self, w: str) -> str | None:
-        """Cached verb lemma of a lowercase word; words too long to be a verb
-        are not cached."""
+    def verb_lemma(self, w: str) -> str | None:
+        """The verb-list entry a lowercase word maps to, trying -s/-ed/-ing
+        stripping; None when nothing matches.  Cached, except for words too
+        long to be a verb."""
         lemma = self._lemmas.get(w, _UNSEEN)
         if lemma is _UNSEEN:
             if len(w) > self._longest_verb_word:
@@ -295,59 +282,6 @@ class RuleTagger:
                 self._lemmas.clear()
             lemma = self._lemmas[w] = self._strip_to_verb(w)
         return lemma
-
-    def verb_lemma(self, word: str) -> str | None:
-        """Map a word to its verb-list entry, trying -s/-ed/-ing stripping;
-        None when nothing matches."""
-        return self._lemma(word.lower())
-
-    def tag_lists(self, surfaces: Sequence[str], kinds: Sequence[str],
-                  words: Sequence[str | None]) -> list[str]:
-        n = len(words)
-        tags = [OTHER] * n
-
-        # Gazetteer pass: mark every token of a matched phrase as proper noun.
-        # Most texts hold no phrase's first word, and then it has nothing to do.
-        gaz_index = self._gaz_index
-        if not gaz_index.keys().isdisjoint(words):
-            for i, word in enumerate(words):
-                for phrase in gaz_index.get(word, ()):
-                    end = i + len(phrase)
-                    if words[i:end] == phrase:
-                        tags[i:end] = [PROPER_NOUN] * len(phrase)
-                        break
-
-        # Capitalization pass, skipping sentence-initial words, then the verb
-        # lookup on whatever is left.  Title-case words are names; all-caps
-        # words are shouting.
-        sentence_start = True
-        for i, kind in enumerate(kinds):
-            if kind == WORD:
-                if tags[i] == OTHER:
-                    surface = surfaces[i]
-                    if not sentence_start and surface[0].isupper() and not surface.isupper():
-                        tags[i] = PROPER_NOUN
-                    elif self._lemma(words[i]) is not None:
-                        tags[i] = VERB
-                sentence_start = False
-            elif kind == PUNCT and _SENTENCE_END.search(surfaces[i]):
-                sentence_start = True
-        return tags
-
-
-def _proper_noun_phrases(surfaces: Sequence[str], tags: Sequence[str]) -> list[str]:
-    """Maximal runs of adjacent proper-noun tokens as lowercase phrases."""
-    phrases = []
-    run: list[str] = []
-    for surface, tag in zip(surfaces, tags):
-        if tag == PROPER_NOUN:
-            run.append(surface.lower())
-        elif run:
-            phrases.append(" ".join(run))
-            run = []
-    if run:
-        phrases.append(" ".join(run))
-    return phrases
 
 
 def _terms(
@@ -359,23 +293,58 @@ def _terms(
     """The text's 5W term counts, and its lowercased words for sentiment
     scoring.
 
-    Terms are counted in a fixed order: proper-noun phrases, verb lemmas,
-    hashtags in the text, then the record's hashtag field; the dict keeps
-    each term where it first came up.  Hashtags are kept verbatim (sans '#')
-    and never stopword-filtered.  The phrase and verb passes run only when
-    some token has their tag.
+    One loop over the tokens tags each word.  A word is a proper noun when it
+    lies in a gazetteer phrase, or when it is capitalized (not all caps) and
+    does not open a sentence; otherwise it is a verb when it has a verb
+    lemma.  Each maximal run of adjacent proper nouns is one lowercase phrase
+    term, and each verb adds its lemma.  Gazetteer phrases may overlap: a
+    phrase that starts inside a matched one extends the match to its own end.
+
+    Terms are counted in a fixed order: phrases, verb lemmas, hashtags in the
+    text, then the record's hashtag field; the dict keeps each term where it
+    first came up.  Hashtags are kept verbatim (sans '#') and never
+    stopword-filtered.
     """
     surfaces, kinds, words, hashtags = _scan(text)
-    tags = tagger.tag_lists(surfaces, kinds, words)
-    items = []
-    if PROPER_NOUN in tags:
-        items = [p for p in _proper_noun_phrases(surfaces, tags) if p not in stopwords]
-    if VERB in tags:
-        for surface, tag in zip(surfaces, tags):
-            if tag == VERB:
-                lemma = tagger.verb_lemma(surface)
-                if lemma and lemma not in stopwords:
-                    items.append(lemma)
+    gaz_index = tagger._gaz_index
+    # Most texts hold no phrase's first word, and then no word is looked up.
+    gaz_lookup = not gaz_index.keys().isdisjoint(words)
+    verb_lemma = tagger.verb_lemma
+    phrases: list[str] = []
+    lemmas: list[str] = []
+    run: list[str] = []
+    gaz_end = 0  # the tokens before this index lie in a matched gazetteer phrase
+    sentence_start = True
+    for i, word in enumerate(words):
+        if word is None:
+            if run:
+                phrases.append(" ".join(run))
+                run = []
+            if kinds[i] == PUNCT and _SENTENCE_END.search(surfaces[i]):
+                sentence_start = True
+            continue
+        if gaz_lookup:
+            for phrase in gaz_index.get(word, ()):
+                end = i + len(phrase)
+                if words[i:end] == phrase:
+                    if end > gaz_end:
+                        gaz_end = end
+                    break
+        if i < gaz_end or (not sentence_start and surfaces[i][0].isupper()
+                           and not surfaces[i].isupper()):
+            run.append(word)
+        else:
+            if run:
+                phrases.append(" ".join(run))
+                run = []
+            lemma = verb_lemma(word)
+            if lemma and lemma not in stopwords:
+                lemmas.append(lemma)
+        sentence_start = False
+    if run:
+        phrases.append(" ".join(run))
+    items = [p for p in phrases if p not in stopwords]
+    items += lemmas
     items += hashtags
     items += [tag_text.lower() for tag_text in extra_hashtags]
     counts: dict[str, int] = {}

@@ -97,6 +97,7 @@ _OUT_OF_RANGE = (OverflowError, OSError, ValueError)
 _UTC = timezone.utc
 # JSON's own whitespace: what json.loads skips around a document.
 _JSON_WS = " \t\n\r"
+_JSON_WS_BYTES = _JSON_WS.encode()
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -130,23 +131,22 @@ def _decode_record(line) -> tuple[dict, datetime]:
     creation time.  Raises every IngestError a full parse would, so replay
     can count each bad line without building a Tweet.
 
-    The line, with its JSON whitespace stripped, is decoded by one
-    ``raw_decode`` call that must consume all of it: the same lines are
-    accepted, and the same objects returned, as by ``json.loads``.  A
-    ``bytes`` line is first decoded the way ``json.loads`` decodes it.  An
-    integer too long to convert or nesting deeper than the recursion limit
-    is malformed too.
+    A ``str`` line comes with its JSON whitespace already stripped; a
+    ``bytes`` line is first decoded the way ``json.loads`` decodes it, then
+    stripped.  The text is decoded by one ``raw_decode`` call that must
+    consume all of it: the same lines are accepted, and the same objects
+    returned, as by ``json.loads``.  An integer too long to convert or
+    nesting deeper than the recursion limit is malformed too.
     """
     try:
         if not isinstance(line, str):
-            line = line.decode(json.detect_encoding(line), "surrogatepass")
-        text = line.strip(_JSON_WS)
-        obj, end = _raw_decode(text)
+            line = line.decode(json.detect_encoding(line), "surrogatepass").strip(_JSON_WS)
+        obj, end = _raw_decode(line)
     # ValueError: bad JSON, bad bytes, an over-long integer; AttributeError:
     # neither str nor bytes; RecursionError: nesting too deep for the scanner.
     except (ValueError, AttributeError, RecursionError) as exc:
         raise MalformedRecord(f"not valid JSON: {line[:80]!r}") from exc
-    if end != len(text):
+    if end != len(line):
         raise MalformedRecord(f"extra data after the record: {line[:80]!r}")
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not a JSON object")
@@ -203,7 +203,7 @@ def parse_tweet_record(line: str) -> Tweet:
     default to empty lists.  Syntactically invalid URLs are discarded so a
     parsed Tweet only ever carries absolute scheme+host URLs.
     """
-    return _build_tweet(*_decode_record(line))
+    return _build_tweet(*_decode_record(line.strip(_JSON_WS) if isinstance(line, str) else line))
 
 
 def _matches(phrases: tuple[str, ...], text: str, hashtags, urls) -> bool:
@@ -310,7 +310,13 @@ def replay_stream(
 
     with _open_source(source) as lines:
         for line in lines:
-            if not line.strip():
+            # A line is blank when nothing is left once its JSON whitespace
+            # is stripped, whether it is str or bytes.
+            if isinstance(line, str):
+                line = line.strip(_JSON_WS)
+                if not line:
+                    continue
+            elif not line.strip(_JSON_WS_BYTES):
                 continue
             stats.total += 1
             try:

@@ -321,7 +321,8 @@ def reference_replay(lines, phrases, *, lateness_seconds=3600.0, dedup=False, st
     seen_ids = set() if dedup else None
 
     for line in lines:
-        if not line.strip():
+        # Blank: nothing left once JSON's whitespace is stripped.
+        if not line.strip(" \t\r\n" if isinstance(line, str) else b" \t\r\n"):
             continue
         stats.total += 1
         try:

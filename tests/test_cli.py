@@ -147,10 +147,12 @@ class TestDetectCommand:
         assert code == 1
         assert not out.exists()
 
-    def test_missing_input_exits_2(self, tmp_path):
-        code = main(["detect", "--input", str(tmp_path / "nope.jsonl"),
-                     "--phrases", "acme"])
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.jsonl")
+        code = main(["detect", "--input", path, "--phrases", "acme"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
 
     def test_silent_tcp_stream_exits_2_without_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ingest, "TCP_TIMEOUT_S", 0.5)

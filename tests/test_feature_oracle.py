@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outcry import FeatureExtractor, features, load_gazetteer, load_verb_list
+from outcry import FeatureExtractor, RuleTagger, features, load_gazetteer, load_verb_list
 from outcry.features import CHUNK_MAX_LEN, HASHTAG, WORD, _scan, _scan_text, _sentiment
 
 from conftest import make_tweet
@@ -23,6 +23,8 @@ from reference import ReferenceExtractor, reference_tokenize
 WORDS = [
     "Starbucks", "starbucks", "New", "York", "new york city", "NEW YORK", "San Francisco",
     "Philadelphia", "Rittenhouse", "Square", "AcmeCorp", "URGENT", "McDonald", "Ripley",
+    "new york city hall", "madison square garden party", "york city", "hall", "City", "Hall",
+    "madison square", "garden party", "Garden",
     "arrested", "arrest", "closes", "closed", "closing", "stopped", "studies", "says",
     "protesting", "Arrested", "ARRESTED",
     "not", "never", "nothing", "cannot", "don't", "very", "extremely", "really", "slightly",
@@ -70,6 +72,16 @@ sentiment_texts = st.lists(st.sampled_from([
 extra_hashtags = st.lists(st.sampled_from(["BoycottNow", "acme", "", "Ünï", "the"]), max_size=3)
 
 _DATA = (load_verb_list(), load_gazetteer())
+# No shipped phrase holds another one's first word after its own start, so
+# the second gazetteer adds phrases that start inside a longer match and end
+# past it ("new york city" + "york city hall", "madison square garden" +
+# "square garden party").
+GAZETTEERS = {
+    "shipped": _DATA[1],
+    "overlapping": _DATA[1] + (("york", "city", "hall"), ("madison", "square", "garden"),
+                               ("square", "garden", "party")),
+}
+_TAGGERS = {name: RuleTagger(_DATA[0], gazetteer) for name, gazetteer in GAZETTEERS.items()}
 
 
 def assert_scans_like_oracle(text, scanned):
@@ -159,17 +171,19 @@ def test_scan_returns_fresh_lists():
 
 @settings(max_examples=800, deadline=None, derandomize=True)
 @given(text=texts, hashtags=extra_hashtags)
-def test_vector_matches_oracle(text, hashtags, lexicon, tagger, stopwords):
+def test_vector_matches_oracle(text, hashtags, lexicon, stopwords):
     stopwords = stopwords | EXTRA_STOPWORDS
-    oracle = ReferenceExtractor(*_DATA, stopwords, lexicon)
     tweet = make_tweet(text=text, hashtags=hashtags)
-    expected_terms = oracle.terms(text, hashtags)
-    vec = FeatureExtractor(lexicon=lexicon, tagger=tagger, stopwords=stopwords).vector(tweet)
-    if not expected_terms:
-        assert vec is None
-        return
-    assert list(vec.terms.items()) == list(expected_terms.items())
-    assert vec.sentiment == oracle.sentiment(text)
+    for name, gazetteer in GAZETTEERS.items():
+        oracle = ReferenceExtractor(_DATA[0], gazetteer, stopwords, lexicon)
+        expected_terms = oracle.terms(text, hashtags)
+        vec = FeatureExtractor(lexicon=lexicon, tagger=_TAGGERS[name],
+                               stopwords=stopwords).vector(tweet)
+        if not expected_terms:
+            assert vec is None
+            continue
+        assert list(vec.terms.items()) == list(expected_terms.items())
+        assert vec.sentiment == oracle.sentiment(text)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -1,22 +1,10 @@
 import inspect
 import random
-from collections import Counter
 
 import pytest
 
 from outcry import FeatureExtractor, RuleTagger, SentimentLexicon, TweetVector
-from outcry.features import (
-    HASHTAG,
-    OTHER,
-    PROPER_NOUN,
-    PUNCT,
-    URL,
-    VERB,
-    WORD,
-    _proper_noun_phrases,
-    _scan,
-    _sentiment,
-)
+from outcry.features import HASHTAG, PUNCT, URL, WORD, _scan, _sentiment
 
 from conftest import make_tweet
 
@@ -26,9 +14,10 @@ def tokens(text):
     return list(zip(surfaces, kinds))
 
 
-def tagged(tagger, text):
-    surfaces, kinds, words, _ = _scan(text)
-    return list(zip(surfaces, tagger.tag_lists(surfaces, kinds, words)))
+def terms(extractor, text):
+    """The text's 5W terms and counts, in the order they first came up."""
+    vec = extractor.vector(make_tweet(text=text))
+    return {} if vec is None else dict(vec.terms)
 
 
 def score(text, lexicon):
@@ -75,66 +64,97 @@ class TestTokenize:
 
 
 class TestTagPos:
-    def test_verb_from_shipped_lexicon(self, tagger):
-        assert [tag for _, tag in tagged(tagger, "the men arrested")] == [OTHER, OTHER, VERB]
+    def test_verb_from_shipped_lexicon(self, extractor):
+        assert terms(extractor, "the men arrested") == {"arrested": 1}
 
-    def test_gazetteer_overrides_sentence_initial_rule(self, tagger):
-        assert tagged(tagger, "Starbucks")[0][1] == PROPER_NOUN
+    def test_gazetteer_overrides_sentence_initial_rule(self, extractor):
+        assert terms(extractor, "Starbucks") == {"starbucks": 1}
 
-    def test_empty_tokens(self, tagger):
-        assert tagger.tag_lists([], [], []) == []
+    def test_empty_tokens(self, extractor):
+        assert terms(extractor, "") == {}
 
-    def test_capitalized_mid_sentence_is_proper_noun(self, tagger):
-        tags = dict(tagged(tagger, "we visited Ripley yesterday"))
-        assert tags["Ripley"] == PROPER_NOUN
+    def test_capitalized_mid_sentence_is_proper_noun(self, extractor):
+        assert terms(extractor, "we visited Ripley yesterday") == {"ripley": 1}
 
-    def test_sentence_initial_capital_is_not_proper_noun(self):
-        tags = dict(tagged(RuleTagger(gazetteer=()), "Ripley was there. Kestrel too"))
+    def test_sentence_initial_capital_is_not_proper_noun(self, lexicon, stopwords):
+        fx = FeatureExtractor(lexicon=lexicon, tagger=RuleTagger(gazetteer=()),
+                              stopwords=stopwords)
         # both words open a sentence, so the capitalization rule must not fire
-        assert tags["Ripley"] == OTHER
-        assert tags["Kestrel"] == OTHER
+        assert terms(fx, "Ripley was there. Kestrel too") == {}
+        assert terms(fx, "so Ripley was there. Kestrel too") == {"ripley": 1}
 
-    def test_all_caps_is_not_proper_noun(self, tagger):
-        tags = dict(tagged(tagger, "this is URGENT news"))
-        assert tags["URGENT"] == OTHER
+    def test_all_caps_is_not_proper_noun(self, extractor):
+        assert terms(extractor, "this is URGENT news") == {}
 
-    def test_multiword_gazetteer_phrase(self, tagger):
-        tags = dict(tagged(tagger, "protest in new york today"))
-        assert tags["new"] == PROPER_NOUN and tags["york"] == PROPER_NOUN
+    def test_multiword_gazetteer_phrase(self, extractor):
+        assert terms(extractor, "protest in new york today") == {"new york": 1, "protest": 1}
+
+    def test_gazetteer_word_is_never_a_verb(self, lexicon, stopwords):
+        fx = FeatureExtractor(lexicon=lexicon, stopwords=stopwords,
+                              tagger=RuleTagger(gazetteer=[("protest", "march")]))
+        assert terms(fx, "a protest march and a protest") == {"protest march": 1, "protest": 1}
+
+
+class TestOverlappingGazetteer:
+    @pytest.fixture(scope="class")
+    def fx(self, lexicon, stopwords):
+        gazetteer = [("new", "york", "city"), ("york", "city", "hall"), ("york",),
+                     ("square", "garden", "party"), ("madison", "square")]
+        return FeatureExtractor(lexicon=lexicon, stopwords=stopwords,
+                                tagger=RuleTagger(gazetteer=gazetteer))
+
+    def test_phrase_starting_inside_a_match_extends_it(self, fx):
+        # "york city hall" starts inside "new york city" and ends past it
+        assert terms(fx, "at new york city hall today") == {"new york city hall": 1}
+
+    def test_chain_of_overlaps(self, fx):
+        assert terms(fx, "at madison square garden party") == {"madison square garden party": 1}
+
+    def test_phrase_inside_a_match_does_not_end_it(self, fx):
+        # "york" alone ends before "new york city" does
+        assert terms(fx, "so new york city at night") == {"new york city": 1}
+
+    def test_unmatched_tail_stays_out(self, fx):
+        assert terms(fx, "at york city today") == {"york": 1}
 
 
 class TestMergeProperNouns:
-    @staticmethod
-    def _phrases(spec):
-        return _proper_noun_phrases([surface for surface, _ in spec], [tag for _, tag in spec])
+    def test_adjacent_run_merges(self, extractor):
+        assert terms(extractor, "at Rittenhouse Square Starbucks") == {
+            "rittenhouse square starbucks": 1}
 
-    def test_adjacent_run_merges(self):
-        spec = [("Rittenhouse", PROPER_NOUN), ("Square", PROPER_NOUN), ("Starbucks", PROPER_NOUN)]
-        assert self._phrases(spec) == ["rittenhouse square starbucks"]
+    def test_runs_broken_by_other_tags(self, extractor):
+        # a verb, punctuation, a hashtag or a mention ends a run; phrases
+        # come first, then verb lemmas, then hashtags
+        assert terms(extractor, "at Starbucks arrested Philly, Boston #x Ripley @y Kestrel") == {
+            "starbucks": 1, "philly": 1, "boston": 1, "ripley": 1, "kestrel": 1,
+            "arrested": 1, "x": 1}
 
-    def test_runs_broken_by_other_tags(self):
-        spec = [("Starbucks", PROPER_NOUN), ("closed", VERB), ("Philly", PROPER_NOUN)]
-        assert self._phrases(spec) == ["starbucks", "philly"]
+    def test_empty(self, extractor):
+        assert terms(extractor, "at the of") == {}
 
-    def test_empty(self):
-        assert self._phrases([]) == []
-
-    def test_phrase_words_are_consecutive_in_input(self):
-        # Randomized check of the structural property: every output phrase is
-        # a run of consecutive proper-noun inputs, and phrase count never
-        # exceeds the proper-noun count.
+    def test_phrase_words_are_consecutive_in_input(self, lexicon):
+        # Randomized check: with no gazetteer and one verb, the phrase terms
+        # are the maximal runs of capitalized words, in order, and the verb
+        # adds its lemma after them.
+        fx = FeatureExtractor(lexicon=lexicon, stopwords=frozenset(),
+                              tagger=RuleTagger(verbs=frozenset({"zap"}), gazetteer=()))
         rng = random.Random(99)
         for _ in range(200):
-            spec = []
-            for i in range(rng.randrange(0, 12)):
-                tag = rng.choice([PROPER_NOUN, VERB, OTHER])
-                spec.append((f"w{i}", tag))
-            phrases = self._phrases(spec)
-            pn_count = sum(1 for _, tag in spec if tag == PROPER_NOUN)
-            assert len(phrases) <= pn_count or pn_count == 0
-            flattened = [w for p in phrases for w in p.split()]
-            expected = [s.lower() for s, tag in spec if tag == PROPER_NOUN]
-            assert flattened == expected
+            words = [rng.choice(["Alpha", "Bravo", "Cedar", "x", "zapped", ","])
+                     for _ in range(rng.randrange(0, 12))]
+            expected: dict[str, int] = {}
+            run = []
+            for word in words + ["."]:
+                if word[0].isupper():
+                    run.append(word.lower())
+                elif run:
+                    phrase = " ".join(run)
+                    expected[phrase] = expected.get(phrase, 0) + 1
+                    run = []
+            if "zapped" in words:
+                expected["zap"] = words.count("zapped")
+            assert terms(fx, "so " + " ".join(words)) == expected
 
 
 class TestExtract5wTerms:
@@ -266,32 +286,10 @@ class TestBuildTweetVector:
                 setattr(vec, name, None)
 
 
-class TestCustomTagger:
-    def test_minimal_tagger_runs_through_extractor(self, lexicon, stopwords):
-        class SuffixTagger:
-            """The whole tagger contract: capitalized words are names, -ed
-            words are verbs whose lemma drops the suffix."""
-
-            def tag_lists(self, surfaces, kinds, words):
-                return [
-                    OTHER if w is None else PROPER_NOUN if s[0].isupper()
-                    else VERB if w.endswith("ed") else OTHER
-                    for s, w in zip(surfaces, words)
-                ]
-
-            def verb_lemma(self, surface):
-                return surface.lower()[:-2]
-
-        fx = FeatureExtractor(lexicon=lexicon, tagger=SuffixTagger(), stopwords=stopwords)
-        vec = fx.vector(make_tweet(text="Acme closed the Riverside Plant, terrible #acme"))
-        assert vec.terms == Counter({"acme": 2, "clos": 1, "riverside plant": 1})
-        assert vec.sentiment == -2.0
-
-
 class TestLemmaCache:
     def test_bounded_cache_gives_same_lemmas(self, tagger, monkeypatch):
         from outcry import features
-        words = ["arrested", "Closing", "zzz", "studies", "arrested", "ZZZ", "closes"]
+        words = ["arrested", "closing", "zzz", "studies", "arrested", "zzz", "closes"]
         expected = [tagger.verb_lemma(w) for w in words]
         assert expected[0] is not None and expected[2] is None
         monkeypatch.setattr(features, "LEMMA_CACHE_SIZE", 2)

@@ -269,6 +269,16 @@ class TestReplayStream:
         assert [t.posting_id for t in runs[0][0]] == ["a", "d"]
         assert runs[0][1].parse_errors == 2
 
+    def test_blank_means_json_whitespace_only_for_str_and_bytes(self):
+        # "\xa0" and "\x1c" are str whitespace but not JSON whitespace, so
+        # each such line is a parse error from either source, and a line of
+        # JSON whitespace alone is not counted at all.
+        text = "\xa0\n \t\r\n\x1c\n\n"
+        for source in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            stats = ReplayStats()
+            assert list(replay_stream(source, PhraseFilter(["acme"]), stats=stats)) == []
+            assert (stats.total, stats.parse_errors) == (2, 2)
+
     def test_json_escaped_phrase_matches(self):
         line = record(text="all about AcmeCorp").replace("AcmeCorp", "\\u0041cmeCorp")
         assert "AcmeCorp" not in line

@@ -92,8 +92,8 @@ def records(draw):
 
 lines = st.one_of(
     records(), records(), records(), records(),
-    st.sampled_from(["", "   ", "\n", "[1, 2]", '["AcmeCorp", 3]', "not json at all",
-                     "null", "42", '"AcmeCorp"', "{}", '{"text": "AcmeCorp"',
+    st.sampled_from(["", "   ", "\n", " \t\r", "\xa0", "\x1c", "[1, 2]", '["AcmeCorp", 3]',
+                     "not json at all", "null", "42", '"AcmeCorp"', "{}", '{"text": "AcmeCorp"',
                      OVERLONG_INT, TOO_DEEP]),
 )
 
