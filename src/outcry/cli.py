@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from datetime import date
 from types import SimpleNamespace
 
@@ -177,7 +176,7 @@ def cmd_market(args) -> int:
         if event_return is None:
             raise InsufficientData(f"no return on event date {event_date}")
         stats = return_stats(window)
-        payload["stats"] = asdict(stats)
+        payload["stats"] = stats._asdict()
         payload["zscore"] = event_day_zscore(event_return, stats)
         payload["histogram"] = [list(b) for b in return_histogram(window, args.bins)]
     except (InsufficientData, ZeroVariance) as exc:
@@ -243,7 +242,7 @@ def cmd_evaluate(args) -> int:
         # RecursionError: JSON nested too deep to decode
         _fail(f"malformed evaluation input: {exc}")
         return EXIT_INPUT
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(result)}
+    payload = {"schema_version": SCHEMA_VERSION, **result._asdict()}
     if not _write_output(_dump_json(_round_floats(payload)), args.out):
         return EXIT_INPUT
     _log(args.verbose, "evaluate_done", f1=result.f1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from operator import mul
 
@@ -50,7 +49,6 @@ def require_int(name: str, value) -> int:
     return value
 
 
-@dataclass
 class ClusterParams:
     """Knobs for the online clusterer.
 
@@ -60,18 +58,19 @@ class ClusterParams:
     inactivity_expiry: idle time after which sub-event clusters are evicted.
     """
 
-    merge_threshold: float = 0.7
-    min_event_size: int = 5
-    inactivity_expiry: timedelta = timedelta(hours=72)
+    __slots__ = ("merge_threshold", "min_event_size", "inactivity_expiry")
 
-    def __post_init__(self):
-        if require_finite("merge_threshold", self.merge_threshold) <= 0:
+    def __init__(self, merge_threshold: float = 0.7, min_event_size: int = 5,
+                 inactivity_expiry: timedelta = timedelta(hours=72)):
+        if require_finite("merge_threshold", merge_threshold) <= 0:
             raise ValueError("merge_threshold must be positive")
-        self.merge_threshold = min(self.merge_threshold, 1.0)
-        if require_int("min_event_size", self.min_event_size) < 1:
+        if require_int("min_event_size", min_event_size) < 1:
             raise ValueError("min_event_size must be >= 1")
-        if self.inactivity_expiry <= timedelta(0):
+        if inactivity_expiry <= timedelta(0):
             raise ValueError("inactivity_expiry must be positive")
+        self.merge_threshold = min(merge_threshold, 1.0)
+        self.min_event_size = min_event_size
+        self.inactivity_expiry = inactivity_expiry
 
 
 class EventCluster:

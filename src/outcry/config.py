@@ -7,7 +7,6 @@ fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from datetime import timedelta
 
 from .clustering import ClusterParams, require_finite, require_int
@@ -34,34 +33,75 @@ def read_config_file(path):
 _RENAMED = {"merge_threshold": "merge_threshold_D", "min_event_size": "min_event_size_N"}
 
 
-@dataclass
 class RunConfig:
-    phrases: list[str] = field(default_factory=list)
-    input: str | None = None
-    out: str | None = None
-    state_out: str | None = None
-    format: str = "json"
-    lateness_seconds: float = 3600.0
-    dedup: bool = False
-    language_filter: str | None = "en"
-    merge_threshold: float = 0.7
-    min_event_size: int = 5
-    inactivity_expiry_hours: float = 72.0
-    burst_velocity_threshold: float = 2.0
-    rank_weights: tuple[float, float, float] = (0.4, 0.3, 0.3)
-    news_count_gate: int = 1
-    resolver_mode: str = "offline"
-    network_timeout_ms: int = 3000
-    lexicon_path: str | None = None
-    stopwords_path: str | None = None
-    verbs_path: str | None = None
-    gazetteer_path: str | None = None
-    allowlist_path: str | None = None
-    redirect_map_path: str | None = None
-    daily_summary_clusters: int = 5
+    """Settings of one run.  Each attribute is a config key (see
+    ``_RENAMED``); construction validates them, and so does ``validate``
+    after the CLI overrides some."""
 
-    def __post_init__(self):
+    __slots__ = (
+        "phrases", "input", "out", "state_out", "format", "lateness_seconds", "dedup",
+        "language_filter", "merge_threshold", "min_event_size", "inactivity_expiry_hours",
+        "burst_velocity_threshold", "rank_weights", "news_count_gate", "resolver_mode",
+        "network_timeout_ms", "lexicon_path", "stopwords_path", "verbs_path",
+        "gazetteer_path", "allowlist_path", "redirect_map_path", "daily_summary_clusters",
+    )
+
+    def __init__(
+        self,
+        phrases: list[str] | tuple[str, ...] | str = (),
+        input: str | None = None,
+        out: str | None = None,
+        state_out: str | None = None,
+        format: str = "json",
+        lateness_seconds: float = 3600.0,
+        dedup: bool = False,
+        language_filter: str | None = "en",
+        merge_threshold: float = 0.7,
+        min_event_size: int = 5,
+        inactivity_expiry_hours: float = 72.0,
+        burst_velocity_threshold: float = 2.0,
+        rank_weights: tuple[float, float, float] = (0.4, 0.3, 0.3),
+        news_count_gate: int = 1,
+        resolver_mode: str = "offline",
+        network_timeout_ms: int = 3000,
+        lexicon_path: str | None = None,
+        stopwords_path: str | None = None,
+        verbs_path: str | None = None,
+        gazetteer_path: str | None = None,
+        allowlist_path: str | None = None,
+        redirect_map_path: str | None = None,
+        daily_summary_clusters: int = 5,
+    ):
+        self.phrases = phrases
+        self.input = input
+        self.out = out
+        self.state_out = state_out
+        self.format = format
+        self.lateness_seconds = lateness_seconds
+        self.dedup = dedup
+        self.language_filter = language_filter
+        self.merge_threshold = merge_threshold
+        self.min_event_size = min_event_size
+        self.inactivity_expiry_hours = inactivity_expiry_hours
+        self.burst_velocity_threshold = burst_velocity_threshold
+        self.rank_weights = rank_weights
+        self.news_count_gate = news_count_gate
+        self.resolver_mode = resolver_mode
+        self.network_timeout_ms = network_timeout_ms
+        self.lexicon_path = lexicon_path
+        self.stopwords_path = stopwords_path
+        self.verbs_path = verbs_path
+        self.gazetteer_path = gazetteer_path
+        self.allowlist_path = allowlist_path
+        self.redirect_map_path = redirect_map_path
+        self.daily_summary_clusters = daily_summary_clusters
         self.validate()
+
+    def __eq__(self, other):
+        """Equal when every config key has an equal value."""
+        if not isinstance(other, RunConfig):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def validate(self) -> None:
         if isinstance(self.phrases, str):
@@ -140,6 +180,9 @@ class RunConfig:
 
 
 # config key -> RunConfig attribute
-_KEY_MAP = {_RENAMED.get(f.name, f.name): f.name for f in fields(RunConfig)}
+_KEY_MAP = {_RENAMED.get(name, name): name for name in RunConfig.__slots__}
 # settings that are a string or null: paths and the language prefix
-_OPTIONAL_STRINGS = tuple(f.name for f in fields(RunConfig) if f.type == "str | None")
+_OPTIONAL_STRINGS = (
+    "input", "out", "state_out", "language_filter", "lexicon_path", "stopwords_path",
+    "verbs_path", "gazetteer_path", "allowlist_path", "redirect_map_path",
+)

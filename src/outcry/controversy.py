@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date, timedelta
+from typing import NamedTuple
 
 from .clustering import EventCluster, require_finite, require_int
 from .credibility import AllowList, unique_credible_links
@@ -19,31 +19,37 @@ from .credibility import AllowList, unique_credible_links
 BURST_BASELINE_DAYS = 7
 
 
-@dataclass
 class ControversyParams:
-    burst_velocity_threshold: float = 2.0
-    rank_weights: tuple[float, float, float] = (0.4, 0.3, 0.3)  # burst, news, sentiment
-    news_count_gate: int = 1
+    """Knobs for the controversy gate and rank; ``rank_weights`` weigh the
+    burst, news and sentiment parts of the rank score."""
 
-    def __post_init__(self):
-        if require_finite("burst_velocity_threshold", self.burst_velocity_threshold) <= 0:
+    __slots__ = ("burst_velocity_threshold", "rank_weights", "news_count_gate")
+
+    def __init__(self, burst_velocity_threshold: float = 2.0,
+                 rank_weights: tuple[float, float, float] = (0.4, 0.3, 0.3),
+                 news_count_gate: int = 1):
+        if require_finite("burst_velocity_threshold", burst_velocity_threshold) <= 0:
             raise ValueError("burst_velocity_threshold must be positive")
-        weights = tuple(float(require_finite("rank_weights", w)) for w in self.rank_weights)
+        weights = tuple(float(require_finite("rank_weights", w)) for w in rank_weights)
         if len(weights) != 3 or any(w < 0 for w in weights):
             raise ValueError("rank_weights must be three nonnegative numbers")
         if abs(sum(weights) - 1.0) > 1e-6:
             raise ValueError("rank_weights must sum to 1")
-        self.rank_weights = weights
-        if require_int("news_count_gate", self.news_count_gate) < 1:
+        if require_int("news_count_gate", news_count_gate) < 1:
             raise ValueError("news_count_gate must be >= 1")
+        self.burst_velocity_threshold = burst_velocity_threshold
+        self.rank_weights = weights
+        self.news_count_gate = news_count_gate
 
 
-@dataclass
 class DailyVolume:
     """Daily admitted-tweet counts for the tracked entity (stream-wide,
     not per-cluster)."""
 
-    counts: Counter = field(default_factory=Counter)
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: Counter | None = None):
+        self.counts = Counter() if counts is None else counts
 
     def add(self, day: date, n: int = 1) -> None:
         self.counts[day] += n
@@ -69,8 +75,7 @@ def event_sentiment(cluster: EventCluster) -> float:
     return math.fsum(cluster.sentiments) / cluster.member_count
 
 
-@dataclass
-class ControversyReport:
+class ControversyReport(NamedTuple):
     cluster_id: int
     member_count: int
     burst_flag: bool

@@ -8,8 +8,8 @@ is credible when its host, or a parent domain of it, is on the allowlist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qsl, urlencode, urljoin, urlparse, urlunparse
 
 MAX_REDIRECT_HOPS = 10
@@ -50,18 +50,18 @@ def is_absolute_url(url: str) -> bool:
     return bool(parts.scheme) and bool(parts.netloc)
 
 
-@dataclass(frozen=True)
-class AllowList:
+class AllowList(NamedTuple("AllowList", [("domains", frozenset[str])])):
     """Set of credible domains, loaded from a one-per-line file."""
 
-    domains: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.domains:
+    def __new__(cls, domains: frozenset[str]):
+        if not domains:
             raise ValueError("allowlist must contain at least one domain")
-        for entry in self.domains:
+        for entry in domains:
             if "://" in entry or "/" in entry or not entry:
                 raise ValueError(f"allowlist entries must be bare domains, got {entry!r}")
+        return super().__new__(cls, domains)
 
     @classmethod
     def load(cls, path=None) -> "AllowList":
@@ -70,16 +70,17 @@ class AllowList:
         return cls(domains=domains)
 
 
-@dataclass(frozen=True)
-class RedirectMap:
+class RedirectMap(NamedTuple("RedirectMap", [("mapping", dict[str, str])])):
     """Offline short-URL resolution table: short URL -> final absolute URL."""
 
-    mapping: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for target in self.mapping.values():
+    def __new__(cls, mapping: dict[str, str] | None = None):
+        mapping = {} if mapping is None else mapping
+        for target in mapping.values():
             if not is_absolute_url(target):
                 raise ValueError(f"redirect targets must be absolute URLs, got {target!r}")
+        return super().__new__(cls, mapping)
 
     @classmethod
     def load(cls, path) -> "RedirectMap":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, NamedTuple, Sequence
 
@@ -189,21 +188,24 @@ def load_gazetteer(path=None) -> tuple[tuple[str, ...], ...]:
     return tuple(phrases)
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
+class SentimentLexicon(NamedTuple("SentimentLexicon", [
+        ("entries", dict[str, float]),
+        ("negators", frozenset[str]),
+        ("intensifiers", dict[str, float]),
+])):
     """Token valences in [-2, +2] plus negator and intensifier word lists."""
 
-    entries: dict[str, float]
-    negators: frozenset[str]
-    intensifiers: dict[str, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for token, valence in self.entries.items():
+    def __new__(cls, entries: dict[str, float], negators: frozenset[str],
+                intensifiers: dict[str, float]):
+        for token, valence in entries.items():
             if not (SENTIMENT_MIN <= valence <= SENTIMENT_MAX):
                 raise ValueError(f"valence out of range for {token!r}: {valence}")
-        for token, mult in self.intensifiers.items():
+        for token, mult in intensifiers.items():
             if not (math.isfinite(mult) and mult > 0):
                 raise ValueError(f"intensifier multiplier must be positive: {token!r}")
+        return super().__new__(cls, entries, negators, intensifiers)
 
     @classmethod
     def load(cls, path=None) -> "SentimentLexicon":

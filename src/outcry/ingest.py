@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -59,35 +58,51 @@ class Tweet(NamedTuple):
     hashtags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PhraseFilter:
+class PhraseFilter(NamedTuple("PhraseFilter", [("phrases", tuple[str, ...])])):
     """Ordered list of lowercase phrases used to retain stream records."""
 
-    phrases: tuple[str, ...]
+    __slots__ = ()
 
-    def __init__(self, phrases: Iterable[str]):
+    def __new__(cls, phrases: Iterable[str]):
         cleaned = tuple(p.lower() for p in phrases)
         if not cleaned:
             raise ValueError("phrase filter needs at least one phrase")
         if any(not p.strip() for p in cleaned):
             raise ValueError("phrases must not be empty or all-whitespace")
-        object.__setattr__(self, "phrases", cleaned)
+        return super().__new__(cls, cleaned)
 
 
-@dataclass
 class ReplayStats:
     """Counters accumulated by :func:`replay_stream`.
 
     ``total == parse_errors + dropped_late + filtered_out + duplicates + yielded``
-    holds after the stream is exhausted.
+    holds after the stream is exhausted.  Two stats are equal when every
+    counter is.
     """
 
-    total: int = 0
-    parse_errors: int = 0
-    dropped_late: int = 0
-    filtered_out: int = 0
-    duplicates: int = 0
-    yielded: int = 0
+    __slots__ = ("total", "parse_errors", "dropped_late", "filtered_out", "duplicates", "yielded")
+
+    def __init__(self, total: int = 0, parse_errors: int = 0, dropped_late: int = 0,
+                 filtered_out: int = 0, duplicates: int = 0, yielded: int = 0):
+        self.total = total
+        self.parse_errors = parse_errors
+        self.dropped_late = dropped_late
+        self.filtered_out = filtered_out
+        self.duplicates = duplicates
+        self.yielded = yielded
+
+    def as_dict(self) -> dict[str, int]:
+        """The counters by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if not isinstance(other, ReplayStats):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())
+        return f"ReplayStats({fields})"
 
 
 # What datetime raises for a value it cannot represent: an epoch past the
@@ -240,7 +255,13 @@ def _open_source(source):
     A ``tcp://`` address names a host (an IPv6 literal in brackets, as in
     ``tcp://[::1]:9000``) and a port in 1-65535, and nothing else.  A
     missing host, a missing, non-integer or out-of-range port, or a user,
-    path or query raises ``SourceUnavailable`` before anything connects.  Only a ``tcp://`` source imports ``socket``.
+    path or query raises ``SourceUnavailable`` before anything connects.  Only
+    a ``tcp://`` source imports ``socket``.
+
+    A path or ``tcp://`` source is read as UTF-8 (bytes that are not become
+    U+FFFD) with a leading byte-order mark dropped, and only LF ends a line,
+    as in an ``io.StringIO`` or ``io.BytesIO``: a lone CR is JSON whitespace
+    inside a record, not a line break.
     """
     if isinstance(source, (str, Path)):
         spec = str(source)
@@ -258,7 +279,7 @@ def _open_source(source):
                 conn = socket.create_connection((host, port), timeout=TCP_TIMEOUT_S)
             except (OSError, ValueError) as exc:  # ValueError: a host idna rejects
                 raise SourceUnavailable(f"cannot connect to {spec}: {exc}") from exc
-            reader = conn.makefile("r", encoding="utf-8", errors="replace")
+            reader = conn.makefile("r", encoding="utf-8-sig", errors="replace", newline="\n")
             try:
                 yield reader
             except OSError as exc:  # a silent stream times out; a peer may reset
@@ -268,7 +289,7 @@ def _open_source(source):
                 conn.close()
             return
         try:
-            handle = open(spec, "r", encoding="utf-8", errors="replace")
+            handle = open(spec, "r", encoding="utf-8-sig", errors="replace", newline="\n")
         except OSError as exc:
             raise SourceUnavailable(f"cannot open {spec}: {exc}") from exc
         try:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 
 class InsufficientData(ValueError):
@@ -21,21 +21,23 @@ class ZeroVariance(ValueError):
     """z-score is undefined when the return spread is zero."""
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(NamedTuple("PriceSeries", [
+        ("symbol", str),
+        ("points", tuple[tuple[date, float], ...]),
+])):
     """Dated closing prices, strictly increasing dates, positive prices."""
 
-    symbol: str
-    points: tuple[tuple[date, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, symbol: str, points: tuple[tuple[date, float], ...]):
         last = None
-        for day, close in self.points:
+        for day, close in points:
             if last is not None and day <= last:
                 raise ValueError(f"dates must be strictly increasing at {day}")
             if not (math.isfinite(close) and close > 0):
                 raise ValueError(f"price must be finite and positive on {day}: {close}")
             last = day
+        return super().__new__(cls, symbol, points)
 
 
 def load_price_csv(path, symbol: str | None = None) -> PriceSeries:
@@ -64,8 +66,7 @@ def daily_returns(series: PriceSeries) -> list[tuple[date, float]]:
     return out
 
 
-@dataclass(frozen=True)
-class ReturnStats:
+class ReturnStats(NamedTuple):
     mean: float
     std: float  # sample standard deviation (n-1 denominator)
     n: int

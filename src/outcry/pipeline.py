@@ -6,8 +6,8 @@ sentiment per cluster) that make the evolving discussion inspectable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .clustering import ClusterState
 from .config import RunConfig
@@ -26,8 +26,7 @@ from .ingest import PhraseFilter, ReplayStats, replay_stream
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class DetectionResult:
+class DetectionResult(NamedTuple):
     reports: list[ControversyReport]
     state: ClusterState
     volume: DailyVolume
@@ -170,7 +169,7 @@ def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "params": params,
         "counters": {
-            **asdict(result.replay_stats),
+            **result.replay_stats.as_dict(),
             **result.counters,
             "admitted": result.state.admitted,
             "live_clusters": len(result.state.clusters),
@@ -179,7 +178,7 @@ def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
         },
         "today": result.today.isoformat() if result.today else None,
         "volume": {d.isoformat(): n for d, n in sorted(result.volume.counts.items())},
-        "events": [asdict(r) for r in result.reports],
+        "events": [r._asdict() for r in result.reports],
         "daily_summaries": result.daily_summaries,
     }
     return _round_floats(payload)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
+from typing import NamedTuple
 
 from .clustering import require_finite, require_int
 from .config import InvalidConfig, read_config_file
@@ -30,8 +30,7 @@ _NEUTRAL_WORDS = ("fine", "okay", "meh")
 DEFAULT_START_DATE = date(2024, 3, 1)
 
 
-@dataclass(frozen=True)
-class InjectedEvent:
+class InjectedEvent(NamedTuple):
     start_day: int
     duration_days: int
     peak_rate: int
@@ -58,8 +57,7 @@ class InjectedEvent:
             raise InvalidConfig("link counts must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int
     days: int
     ambient_rate: int = 0
@@ -97,7 +95,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        cfg = _from_json(cls, data, "scenario")
+        cfg = _from_json(cls, _SCENARIO_KEYS, data, "scenario")
         cfg.validate()
         return cfg
 
@@ -128,50 +126,67 @@ def _number_pair(name: str, value) -> tuple[float, float]:
     return tuple(float(require_finite(name, x)) for x in value)
 
 
-# JSON value -> field value, keyed by the field's declared type
-_FROM_JSON = {
-    "int": require_int,
-    "int | None": lambda name, value: None if value is None else require_int(name, value),
-    "float": lambda name, value: float(require_finite(name, value)),
-    "bool": _check(bool, "true or false"),
-    "str": _string,
-    "date": lambda name, value: date.fromisoformat(_string(name, value)),
-    "tuple[str, ...]": _strings,
-    "tuple[float, float]": _number_pair,
-    "tuple[tuple[str, ...], ...]":
+def _float(name: str, value) -> float:
+    return float(require_finite(name, value))
+
+
+# JSON key -> the check that turns its value into the field value, one entry
+# per field of InjectedEvent and of ScenarioConfig
+_EVENT_KEYS = {
+    "start_day": require_int,
+    "duration_days": require_int,
+    "peak_rate": require_int,
+    "term_pool": _strings,
+    "sentiment_range": _number_pair,
+    "credible_link_count": require_int,
+    "noncredible_link_count": require_int,
+    "expected_controversial": _check(bool, "true or false"),
+}
+_SCENARIO_KEYS = {
+    "seed": require_int,
+    "days": require_int,
+    "ambient_rate": require_int,
+    "ambient_topics":
         lambda name, value: tuple(_strings(name, pool) for pool in _list(name, value)),
-    "tuple[InjectedEvent, ...]":
-        lambda name, value: tuple(_from_json(InjectedEvent, entry, "injected_event")
+    "injected_events":
+        lambda name, value: tuple(_from_json(InjectedEvent, _EVENT_KEYS, entry, "injected_event")
                                   for entry in _list(name, value)),
+    "vocabulary_noise": _float,
+    "entity": _string,
+    "ambient_days": lambda name, value: None if value is None else require_int(name, value),
+    "ambient_entity_rate": _float,
+    "start_date": lambda name, value: date.fromisoformat(_string(name, value)),
 }
 
 
-def _from_json(cls, data, what: str):
-    """A ``cls`` built from a JSON object keyed by its field names. Each value
-    must have its field's declared type; a missing key takes the default."""
-    types = {f.name: f.type for f in fields(cls)}
+def _from_json(cls, checks: dict, data, what: str):
+    """A ``cls`` built from a JSON object keyed by its field names.  Each value
+    must pass its key's check in ``checks``; a missing key takes the default."""
     try:
-        unknown = set(_check(dict, "a JSON object")(what, data)) - set(types)
+        unknown = set(_check(dict, "a JSON object")(what, data)) - set(checks)
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return cls(**{key: _FROM_JSON[types[key]](key, value) for key, value in data.items()})
+        return cls(**{key: checks[key](key, value) for key, value in data.items()})
     except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
         raise InvalidConfig(f"bad {what}: {exc}") from exc
 
 
-@dataclass
-class EventTruth:
+class EventTruth(NamedTuple):
     event_index: int
     expected_controversial: bool
-    tweet_ids: list[str] = field(default_factory=list)
+    tweet_ids: tuple[str, ...] = ()
 
 
-@dataclass
 class GroundTruth:
-    events: list[EventTruth] = field(default_factory=list)
+    """The tweet ids of each injected event, as ``generate`` emitted them."""
+
+    __slots__ = ("events",)
+
+    def __init__(self, events: list[EventTruth] | None = None):
+        self.events = [] if events is None else events
 
     def save(self, path) -> None:
-        payload = {"schema_version": 1, **asdict(self)}
+        payload = {"schema_version": 1, "events": [e._asdict() for e in self.events]}
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")
@@ -184,7 +199,7 @@ class GroundTruth:
             EventTruth(
                 event_index=e["event_index"],
                 expected_controversial=e["expected_controversial"],
-                tweet_ids=list(e["tweet_ids"]),
+                tweet_ids=tuple(e["tweet_ids"]),
             )
             for e in payload["events"]
         ])
@@ -229,10 +244,7 @@ def generate(cfg: ScenarioConfig) -> tuple[list[str], GroundTruth]:
         event_links.append(links)
     link_cursor = [0] * len(cfg.injected_events)
 
-    truth = GroundTruth(events=[
-        EventTruth(event_index=i, expected_controversial=ev.expected_controversial)
-        for i, ev in enumerate(cfg.injected_events)
-    ])
+    event_ids: list[list[str]] = [[] for _ in cfg.injected_events]
 
     ambient_days = cfg.days if cfg.ambient_days is None else min(cfg.ambient_days, cfg.days)
     lines: list[str] = []
@@ -259,10 +271,14 @@ def generate(cfg: ScenarioConfig) -> tuple[list[str], GroundTruth]:
                     cfg, rng, posting_id, stamp, job,
                     event_words[job], event_links[job], link_cursor,
                 )
-                truth.events[job].tweet_ids.append(posting_id)
+                event_ids[job].append(posting_id)
             lines.append(json.dumps(record, ensure_ascii=False))
 
-    return lines, truth
+    return lines, GroundTruth(events=[
+        EventTruth(event_index=i, expected_controversial=ev.expected_controversial,
+                   tweet_ids=tuple(ids))
+        for i, (ev, ids) in enumerate(zip(cfg.injected_events, event_ids))
+    ])
 
 
 def _noise_tag(rng: random.Random) -> str:
@@ -327,8 +343,7 @@ def _event_record(cfg: ScenarioConfig, rng: random.Random, posting_id: str,
     }
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     precision: float
     recall: float
     f1: float

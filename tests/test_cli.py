@@ -548,7 +548,9 @@ class TestImports:
 
     def test_offline_detect_loads_no_http_stack(self, tmp_path):
         # Only network mode needs HTTP, and only a tcp:// source needs a
-        # socket.  -S keeps site hooks from importing any of these first.
+        # socket.  No command needs dataclasses or inspect, which cost about
+        # a fifth of an empty detect's start-up.  -S keeps site hooks from
+        # importing any of these first.
         redirects = tmp_path / "redirects.tsv"
         redirects.write_text("https://sho.rt/a\thttps://www.reuters.com/a\n")
         config = tmp_path / "config.json"
@@ -562,7 +564,7 @@ class TestImports:
         argv = ["detect", "--config", str(config), "--input", str(stream),
                 "--phrases", "acmecorp", "--out", str(report)]
         unused = ["ssl", "http.client", "email", "urllib.request", "socket",
-                  "importlib.resources"]
+                  "importlib.resources", "dataclasses", "inspect"]
         code = ("import sys\n"
                 "import outcry.cli\n"
                 f"if outcry.cli.main({argv!r}) != 0: sys.exit('detect failed')\n"
@@ -577,3 +579,12 @@ class TestImports:
         assert ran.returncode == 0, ran.stderr
         # The offline map resolved the short link to a credible story.
         assert json.loads(report.read_text())["events"][0]["news_count"] == 1
+
+    def test_bare_import_loads_no_dataclasses_or_inspect(self):
+        code = ("import sys, outcry\n"
+                "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+                "if loaded: sys.exit(f'import outcry loaded {loaded}')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+        ran = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr

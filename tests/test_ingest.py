@@ -371,6 +371,37 @@ class TestReplayStream:
             server.close()
         assert len(out) == 3
 
+    @pytest.mark.parametrize("data, ids", [
+        # CR is JSON whitespace between fields, not a line break.
+        (b'{"posting_id": "a",\r"creation_time": 0, "text": "acme"}\n', ["a"]),
+        # A leading byte-order mark is dropped.
+        (b"\xef\xbb\xbf" + record(posting_id="a", text="acme").encode() + b"\n"
+         + record(posting_id="b", text="acme").encode() + b"\n", ["a", "b"]),
+    ], ids=["lone CR", "BOM"])
+    def test_file_and_tcp_sources_read_bytes_like_bytesio(self, tmp_path, data, ids):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = server.accept()
+            conn.sendall(data)
+            conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        sources = [io.BytesIO(data), path, f"tcp://127.0.0.1:{server.getsockname()[1]}"]
+        try:
+            for source in sources:
+                stats = ReplayStats()
+                out = list(replay_stream(source, PhraseFilter(["acme"]), stats=stats))
+                assert [t.posting_id for t in out] == ids, source
+                assert stats == ReplayStats(total=len(ids), yielded=len(ids)), source
+        finally:
+            thread.join(timeout=5)
+            server.close()
+        assert not thread.is_alive()
+
     def test_unreachable_tcp_source(self):
         gen = replay_stream("tcp://127.0.0.1:1", PhraseFilter(["x"]))
         with pytest.raises(SourceUnavailable):
