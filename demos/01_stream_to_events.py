@@ -17,7 +17,6 @@ from outcry import (
     ClusterParams,
     ClusterState,
     ControversyParams,
-    DailyVolume,
     FeatureExtractor,
     PhraseFilter,
     classify_and_rank,
@@ -77,9 +76,9 @@ def main():
 
     print("\n=== stage 3: online clustering ===")
     state = ClusterState(ClusterParams(merge_threshold=0.7, min_event_size=3))
-    volume = DailyVolume()
+    volume = {}  # admitted tweets per day
     for vec in vectors:
-        volume.add(vec.day)
+        volume[vec.day] = volume.get(vec.day, 0) + 1
         cid, decision = state.assign(vec)
         print(f"  {vec.tweet_id} -> cluster {cid} ({decision})")
 

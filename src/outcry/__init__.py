@@ -18,7 +18,6 @@ from .config import InvalidConfig, RunConfig
 from .controversy import (
     ControversyParams,
     ControversyReport,
-    DailyVolume,
     classify_and_rank,
     event_sentiment,
 )
@@ -65,7 +64,7 @@ from .market import (
     return_histogram,
     return_stats,
 )
-from .pipeline import DetectionResult, report_payload, run_detection
+from .pipeline import Detector, report_payload, run_detection
 from .synth import (
     EvalResult,
     EventTruth,
@@ -80,9 +79,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllowList", "BadTimestamp", "BadUrl", "ClusterParams", "ClusterState",
-    "ControversyParams", "ControversyReport", "CREATED", "DailyVolume",
-    "DegenerateVector", "DetectionResult", "EvalResult", "EventCluster",
-    "EventTruth", "FeatureExtractor", "GroundTruth", "InjectedEvent",
+    "ControversyParams", "ControversyReport", "CREATED", "DegenerateVector",
+    "Detector", "EvalResult", "EventCluster", "EventTruth", "FeatureExtractor",
+    "GroundTruth", "InjectedEvent",
     "InsufficientData", "InvalidConfig", "MalformedRecord", "MERGED",
     "MissingField", "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
     "RedirectCycle", "RedirectMap", "ReplayStats", "ReturnStats", "RuleTagger",

@@ -9,7 +9,6 @@ continuous rank score orders events for display.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from datetime import date, timedelta
 from typing import NamedTuple
 
@@ -42,30 +41,15 @@ class ControversyParams:
         self.news_count_gate = news_count_gate
 
 
-class DailyVolume:
-    """Daily admitted-tweet counts for the tracked entity (stream-wide,
-    not per-cluster)."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Counter | None = None):
-        self.counts = Counter() if counts is None else counts
-
-    def add(self, day: date, n: int = 1) -> None:
-        self.counts[day] += n
-
-    def last_day(self) -> date | None:
-        return max(self.counts) if self.counts else None
-
-
-def entity_velocity(volume: DailyVolume, today: date) -> float:
-    """Today's entity volume over the trailing 7-day mean (missing days,
-    and days before ``date.min``, count as zero; floor of 1)."""
+def entity_velocity(volume: dict[date, int], today: date) -> float:
+    """Today's entity volume over the trailing 7-day mean of ``volume``, the
+    admitted tweets per day (missing days, and days before ``date.min``,
+    count as zero; floor of 1)."""
     days = min(BURST_BASELINE_DAYS, (today - date.min).days)
     baseline = sum(
-        volume.counts.get(today - timedelta(days=k), 0) for k in range(1, days + 1)
+        volume.get(today - timedelta(days=k), 0) for k in range(1, days + 1)
     ) / float(BURST_BASELINE_DAYS)
-    return volume.counts.get(today, 0) / max(1.0, baseline)
+    return volume.get(today, 0) / max(1.0, baseline)
 
 
 def event_sentiment(cluster: EventCluster) -> float:
@@ -90,7 +74,7 @@ class ControversyReport(NamedTuple):
 
 def classify_and_rank(
     events: list[EventCluster],
-    volume: DailyVolume,
+    volume: dict[date, int],
     allowlist: AllowList,
     params: ControversyParams,
     today: date,

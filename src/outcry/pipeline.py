@@ -7,11 +7,10 @@ sentiment per cluster) that make the evolving discussion inspectable.
 from __future__ import annotations
 
 from datetime import date
-from typing import NamedTuple
 
 from .clustering import ClusterState
 from .config import RunConfig
-from .controversy import ControversyReport, DailyVolume, classify_and_rank
+from .controversy import ControversyReport, classify_and_rank
 from .credibility import AllowList, NetworkRedirectResolver, RedirectMap
 from .features import (
     FeatureExtractor,
@@ -21,19 +20,9 @@ from .features import (
     load_stopwords,
     load_verb_list,
 )
-from .ingest import PhraseFilter, ReplayStats, replay_stream
+from .ingest import PhraseFilter, ReplayStats, Tweet, replay_stream
 
 SCHEMA_VERSION = 1
-
-
-class DetectionResult(NamedTuple):
-    reports: list[ControversyReport]
-    state: ClusterState
-    volume: DailyVolume
-    replay_stats: ReplayStats
-    counters: dict
-    daily_summaries: list[dict]
-    today: date | None
 
 
 class DataFileError(Exception):
@@ -66,59 +55,69 @@ def build_extractor(cfg: RunConfig) -> FeatureExtractor:
                             stopwords=stopwords, redirects=redirects)
 
 
-def run_detection(source, cfg: RunConfig) -> DetectionResult:
-    """Consume the stream in order and score candidate events at the end.
+class Detector:
+    """One detection run.  ``feed`` it the replayed tweets in time order, then
+    call ``finish``; the finished detector is the run's result.
 
     Feature extraction is pure per tweet; cluster assignment is the single
     serialized step, matching the single-writer contract of ClusterState.
+    A day closes at the first admitted vector of a later day: clusters idle
+    past the expiry, measured from that vector's time, are expired.  A tweet
+    skipped for its language or with no terms closes no day.
     """
-    state = ClusterState(cfg.cluster_params())
-    params = cfg.controversy_params()
-    extractor = build_extractor(cfg)
-    allowlist = _load(AllowList.load, cfg.allowlist_path)
-    volume = DailyVolume()
-    replay_stats = ReplayStats()
-    counters = {"skipped_language": 0, "discarded_empty": 0}
-    current_day: date | None = None
 
-    phrases = PhraseFilter(cfg.phrases)
-    stream = replay_stream(
-        source, phrases,
-        lateness_seconds=cfg.lateness_seconds,
-        dedup=cfg.dedup,
-        stats=replay_stats,
-    )
-    language_filter = (cfg.language_filter or "").lower()
-    for tweet in stream:
-        if language_filter and not tweet.language.lower().startswith(language_filter):
-            counters["skipped_language"] += 1
-            continue
-        vector = extractor.vector(tweet)
+    __slots__ = ("cfg", "state", "params", "extractor", "allowlist", "replay_stats",
+                 "counters", "volume", "today", "reports", "daily_summaries", "_language")
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.state = ClusterState(cfg.cluster_params())
+        self.params = cfg.controversy_params()
+        self.extractor = build_extractor(cfg)
+        self.allowlist = _load(AllowList.load, cfg.allowlist_path)
+        self.replay_stats = ReplayStats()
+        self.counters = {"skipped_language": 0, "discarded_empty": 0}
+        self.volume: dict[date, int] = {}  # admitted tweets per day, stream-wide
+        self.today: date | None = None  # the day of the last admitted vector
+        self.reports: list[ControversyReport] = []
+        self.daily_summaries: list[dict] = []
+        self._language = (cfg.language_filter or "").lower()
+
+    def feed(self, tweet: Tweet) -> None:
+        """Take the next tweet; tweets come in nondecreasing time order."""
+        if self._language and not tweet.language.lower().startswith(self._language):
+            self.counters["skipped_language"] += 1
+            return
+        vector = self.extractor.vector(tweet)
         if vector is None:
-            counters["discarded_empty"] += 1
-            continue
-        if current_day is not None and vector.day != current_day:
-            state.expire_inactive(tweet.creation_time)
-        current_day = vector.day
-        volume.add(vector.day)
-        state.assign(vector)
+            self.counters["discarded_empty"] += 1
+            return
+        day = vector.day
+        if day != self.today:
+            if self.today is not None:
+                self.state.expire_inactive(tweet.creation_time)
+            self.today = day
+        self.volume[day] = self.volume.get(day, 0) + 1
+        self.state.assign(vector)
 
-    today = volume.last_day()
-    reports: list[ControversyReport] = []
-    if today is not None:
-        reports = classify_and_rank(state.candidate_events(), volume,
-                                    allowlist, params, today)
+    def finish(self) -> Detector:
+        """Score the candidate events on the last day and build the per-day
+        summaries."""
+        if self.today is not None:
+            self.reports = classify_and_rank(self.state.candidate_events(), self.volume,
+                                             self.allowlist, self.params, self.today)
+        self.daily_summaries = daily_summaries(self.state, limit=self.cfg.daily_summary_clusters)
+        return self
 
-    summaries = daily_summaries(state, limit=cfg.daily_summary_clusters)
-    return DetectionResult(
-        reports=reports,
-        state=state,
-        volume=volume,
-        replay_stats=replay_stats,
-        counters=counters,
-        daily_summaries=summaries,
-        today=today,
-    )
+
+def run_detection(source, cfg: RunConfig) -> Detector:
+    """The finished ``Detector`` of every tweet replayed from ``source``."""
+    detector = Detector(cfg)
+    for tweet in replay_stream(source, PhraseFilter(cfg.phrases),
+                               lateness_seconds=cfg.lateness_seconds,
+                               dedup=cfg.dedup, stats=detector.replay_stats):
+        detector.feed(tweet)
+    return detector.finish()
 
 
 def daily_summaries(state: ClusterState, limit: int = 5) -> list[dict]:
@@ -159,7 +158,7 @@ def _round_floats(value, places: int = 6):
 _VOLATILE_PARAMS = {"input", "out", "state_out"}
 
 
-def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
+def report_payload(result: Detector, cfg: RunConfig) -> dict:
     """Deterministic report document: stable key order, floats at six
     decimal places, no wall-clock fields.  I/O paths are left out of the
     params echo so equal runs stay byte-identical wherever they are written.
@@ -177,7 +176,7 @@ def report_payload(result: DetectionResult, cfg: RunConfig) -> dict:
             "expired_members": result.state.expired_members,
         },
         "today": result.today.isoformat() if result.today else None,
-        "volume": {d.isoformat(): n for d, n in sorted(result.volume.counts.items())},
+        "volume": {d.isoformat(): n for d, n in sorted(result.volume.items())},
         "events": [r._asdict() for r in result.reports],
         "daily_summaries": result.daily_summaries,
     }

@@ -131,7 +131,7 @@ def _float(name: str, value) -> float:
 
 
 # JSON key -> the check that turns its value into the field value, one entry
-# per field of InjectedEvent and of ScenarioConfig
+# per field of InjectedEvent, ScenarioConfig and EventTruth
 _EVENT_KEYS = {
     "start_day": require_int,
     "duration_days": require_int,
@@ -156,6 +156,12 @@ _SCENARIO_KEYS = {
     "ambient_days": lambda name, value: None if value is None else require_int(name, value),
     "ambient_entity_rate": _float,
     "start_date": lambda name, value: date.fromisoformat(_string(name, value)),
+}
+
+_TRUTH_KEYS = {
+    "event_index": require_int,
+    "expected_controversial": _check(bool, "true or false"),
+    "tweet_ids": _strings,
 }
 
 
@@ -193,16 +199,17 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
+        """Raises ``InvalidConfig`` (a ``ValueError``) for an event with a
+        missing, unknown or mistyped key."""
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        return cls(events=[
-            EventTruth(
-                event_index=e["event_index"],
-                expected_controversial=e["expected_controversial"],
-                tweet_ids=tuple(e["tweet_ids"]),
-            )
-            for e in payload["events"]
-        ])
+        events = []
+        for entry in _list("events", payload["events"]):
+            event = _from_json(EventTruth, _TRUTH_KEYS, entry, "truth event")
+            if "tweet_ids" not in entry:  # required in a file, though EventTruth has a default
+                raise InvalidConfig("bad truth event: missing key 'tweet_ids'")
+            events.append(event)
+        return cls(events=events)
 
 
 def _render_phrase(term: str) -> str:

@@ -407,6 +407,39 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("tweet_ids", "first-id"),
+        ("expected_controversial", "no"),
+        ("event_index", None),
+        ("tweet_ids", None),
+        ("extra", 1),
+    ])
+    def test_mistyped_truth_event_exits_2(self, tmp_path, capsys, scenario_file, key, value):
+        stream, truth = tmp_path / "s.jsonl", tmp_path / "s.jsonl.truth.json"
+        report, state = tmp_path / "report.json", tmp_path / "state.json"
+        assert main(["synth", "--scenario", str(scenario_file), "--out", str(stream)]) == 0
+        assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
+                     "--out", str(report), "--state-out", str(state)]) == 0
+        payload = json.loads(truth.read_text())
+        payload["events"][0][key] = value
+        truth.write_text(json.dumps(payload))
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--report", str(report), "--state", str(state),
+                     "--truth", str(truth), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["event_index", "expected_controversial", "tweet_ids"])
+    def test_truth_event_keys_are_required(self, tmp_path, key):
+        path = tmp_path / "truth.json"
+        GroundTruth(events=[outcry.EventTruth(0, True, ("a", "b"))]).save(path)
+        payload = json.loads(path.read_text())
+        del payload["events"][0][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfig, match=key):
+            GroundTruth.load(path)
+
 
 class TestPipelineCounters:
     def test_language_filter_and_discards_counted(self, tmp_path):
@@ -426,6 +459,28 @@ class TestPipelineCounters:
         assert result.counters["skipped_language"] == 1
         assert result.counters["discarded_empty"] == 1
         assert result.state.admitted == 1
+
+    @pytest.mark.parametrize("between", [
+        {"text": "acmecorp #omega #sigma", "language": "fr"},
+        {"text": "acmecorp", "language": "en"},
+    ], ids=["language-skipped", "empty"])
+    def test_day_closes_at_first_admitted_vector_of_a_later_day(self, tmp_path, between):
+        # x is 71 h idle at the skipped tweet and 73 h idle at y.  The day
+        # closes at y, the first admitted vector of 03-04, and idleness is
+        # measured from y's time, so x (expiry 72 h) is expired.
+        lines = [
+            {"posting_id": "x", "creation_time": "2024-03-01T12:00:00Z",
+             "text": "acmecorp #alpha #beta", "language": "en"},
+            {"posting_id": "m", "creation_time": "2024-03-04T11:00:00Z", **between},
+            {"posting_id": "y", "creation_time": "2024-03-04T13:00:00Z",
+             "text": "acmecorp #gamma #delta", "language": "en"},
+        ]
+        stream = tmp_path / "in.jsonl"
+        stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        result = run_detection(str(stream), RunConfig(phrases=["acmecorp"]))
+        assert result.state.admitted == 2
+        assert result.state.expired_clusters == 1
+        assert len(result.state.clusters) == 1
 
 
 @pytest.mark.parametrize("setting", [

@@ -8,7 +8,6 @@ import pytest
 
 from outcry import (
     ControversyParams,
-    DailyVolume,
     EventCluster,
     classify_and_rank,
     event_sentiment,
@@ -33,10 +32,7 @@ def build_cluster(cluster_id, sentiments, links=(), member_day=TODAY, terms=None
 
 def volume_from(counts_by_offset):
     """counts_by_offset: {days-before-TODAY: count}"""
-    vol = DailyVolume()
-    for offset, count in counts_by_offset.items():
-        vol.add(TODAY - timedelta(days=offset), count)
-    return vol
+    return {TODAY - timedelta(days=offset): count for offset, count in counts_by_offset.items()}
 
 
 def flat_volume(level=100, days=8):
@@ -84,20 +80,22 @@ class TestBurstiness:
         base = spiking_volume()
         v1 = judge(cluster, base, allowlist).burst_velocity
         for k in (2, 3.5, 10):
-            scaled = DailyVolume()
-            for day, count in base.counts.items():
-                scaled.add(day, count * k)
+            scaled = {day: count * k for day, count in base.items()}
             vk = judge(cluster, scaled, allowlist).burst_velocity
             assert abs(vk - v1) <= 1e-12
+
+    def test_velocity_at_threshold_flags(self, allowlist):
+        # The gate is "at or above" the threshold: 20 over a mean of 10 is 2.0.
+        report = judge(build_cluster(1, [-1.0]), spiking_volume(base=10, spike=20), allowlist)
+        assert report.burst_velocity == 2.0
+        assert report.burst_flag is True
 
     @pytest.mark.parametrize("offset", [0, 1, 6, 7])
     def test_baseline_before_year_one_counts_as_zero(self, offset):
         # Baseline days before date.min cannot be built; they count as zero,
         # so the baseline mean is the days that exist over 7.
         today = date.min + timedelta(days=offset)
-        volume = DailyVolume()
-        for k in range(offset + 1):
-            volume.add(date.min + timedelta(days=k), 21)
+        volume = {date.min + timedelta(days=k): 21 for k in range(offset + 1)}
         expected = 21 / max(1.0, 21 * offset / 7)
         assert controversy.entity_velocity(volume, today) == pytest.approx(expected)
 
@@ -176,6 +174,21 @@ class TestClassifyAndRank:
         assert report.controversial is True
         assert report.burst_velocity == pytest.approx(4.0)
         assert report.news_count == 1
+
+    def test_zero_mean_sentiment_is_not_controversial(self, allowlist):
+        # Bursting and newsworthy, but a mean of exactly 0 is not negative.
+        cluster = build_cluster(1, [-1.0, 1.0, 0.0], links={"https://nytimes.com/story"})
+        report = judge(cluster, spiking_volume(), allowlist)
+        assert report.sentiment_mean == 0.0
+        assert report.burst_flag is True and report.news_count == 1
+        assert report.controversial is False
+
+    def test_rank_burst_term_capped_at_twice_the_threshold(self, allowlist):
+        cluster = build_cluster(1, [-1.0] * 5, links={"https://nytimes.com/story"})
+        at_four = judge(cluster, spiking_volume(spike=40), allowlist)
+        at_six = judge(cluster, spiking_volume(spike=60), allowlist)
+        assert (at_four.burst_velocity, at_six.burst_velocity) == (4.0, 6.0)
+        assert at_four.rank_score == at_six.rank_score
 
     def test_rank_ties_broken_by_cluster_id(self, allowlist):
         a, volume = self._case(negative=True, bursty=True, newsy=True)

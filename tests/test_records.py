@@ -4,15 +4,19 @@ and the bytes of the outputs built from the records.
 The records are named tuples (immutable) or plain classes with
 ``__slots__`` (mutable settings and counters); building one generates no
 code at import time.  The pinned digests are of outputs written by the
-``synth``, ``evaluate`` and ``market`` commands.
+``synth``, ``evaluate`` and ``market`` commands, and of the demos' standard
+output.
 """
 
 import hashlib
 import inspect
 import json
+import os
 import random
-from collections import Counter
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +25,6 @@ from outcry import (
     ClusterParams,
     ControversyParams,
     ControversyReport,
-    DailyVolume,
-    DetectionResult,
     EvalResult,
     EventTruth,
     GroundTruth,
@@ -37,19 +39,20 @@ from outcry import (
     ScenarioConfig,
     SentimentLexicon,
 )
+import outcry
 from outcry import config, synth
 from outcry.cli import main
 
 from test_cli import write_price_csv
 
 EMPTY = inspect.Parameter.empty
+ROOT = Path(__file__).resolve().parent.parent
 
 SIGNATURES = {
     ClusterParams: [("merge_threshold", 0.7), ("min_event_size", 5),
                     ("inactivity_expiry", timedelta(hours=72))],
     ControversyParams: [("burst_velocity_threshold", 2.0), ("rank_weights", (0.4, 0.3, 0.3)),
                         ("news_count_gate", 1)],
-    DailyVolume: [("counts", None)],
     ControversyReport: [(name, EMPTY) for name in (
         "cluster_id", "member_count", "burst_flag", "burst_velocity", "news_count",
         "news_score", "sentiment_mean", "controversial", "rank_score", "top_terms")],
@@ -61,8 +64,6 @@ SIGNATURES = {
         "total", "parse_errors", "dropped_late", "filtered_out", "duplicates", "yielded")],
     PriceSeries: [("symbol", EMPTY), ("points", EMPTY)],
     ReturnStats: [("mean", EMPTY), ("std", EMPTY), ("n", EMPTY)],
-    DetectionResult: [(name, EMPTY) for name in (
-        "reports", "state", "volume", "replay_stats", "counters", "daily_summaries", "today")],
     InjectedEvent: [("start_day", EMPTY), ("duration_days", EMPTY), ("peak_rate", EMPTY),
                     ("term_pool", EMPTY), ("sentiment_range", EMPTY),
                     ("credible_link_count", 1), ("noncredible_link_count", 0),
@@ -87,7 +88,7 @@ SIGNATURES = {
 }
 
 # Mutable settings and counters; every other record is a named tuple.
-PLAIN = (ClusterParams, ControversyParams, DailyVolume, ReplayStats, GroundTruth, RunConfig)
+PLAIN = (ClusterParams, ControversyParams, ReplayStats, GroundTruth, RunConfig)
 
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
@@ -113,7 +114,6 @@ def test_records_reject_assignment():
 
 
 def test_container_defaults_are_fresh():
-    assert DailyVolume().counts == Counter() and DailyVolume().counts is not DailyVolume().counts
     assert GroundTruth().events == [] and GroundTruth().events is not GroundTruth().events
     assert RedirectMap().mapping == {} and RedirectMap().get("https://sho.rt/x") is None
 
@@ -194,6 +194,7 @@ def test_key_tables_name_every_field():
     assert list(config._KEY_MAP.values()) == list(RunConfig.__slots__)
     assert tuple(synth._EVENT_KEYS) == InjectedEvent._fields
     assert tuple(synth._SCENARIO_KEYS) == ScenarioConfig._fields
+    assert tuple(synth._TRUTH_KEYS) == EventTruth._fields
     for name in RunConfig.__slots__:
         optional = name in config._OPTIONAL_STRINGS
         try:
@@ -248,6 +249,13 @@ DIGESTS = {
     "market --index": "4f73f4959e08fa3c24b1a3a8ce4686ea7ac5c4506e66c884d9dc2e0fc9cb46ad",
 }
 
+# sha256 of each demo's standard output; a refactor leaves them unchanged.
+DEMO_DIGESTS = {
+    "01_stream_to_events.py": "52a97e5be3e418ddfdc0b462e73765d558340d4a62c3d053439fee290e4c7004",
+    "02_market_impact.py": "a970174d92ad2a25254700efa9af137d167092e35000d5deea66537c9426299a",
+    "03_synthetic_recovery.py": "9057745f25ffeb601a9a4d89dd97691288abacdc8cab86ad7913bbc28a75e7a1",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -283,3 +291,13 @@ def test_market_bytes(tmp_path, monkeypatch):
                  "--out", "market_index.json"]) == 0
     assert sha256(tmp_path / "market.json") == DIGESTS["market"]
     assert sha256(tmp_path / "market_index.json") == DIGESTS["market --index"]
+
+
+@pytest.mark.parametrize("demo", DEMO_DIGESTS)
+def test_demo_stdout_bytes(tmp_path, demo):
+    src = Path(outcry.__file__).resolve().parent.parent
+    ran = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, timeout=60)
+    assert ran.returncode == 0, ran.stderr.decode()
+    assert hashlib.sha256(ran.stdout).hexdigest() == DEMO_DIGESTS[demo]
