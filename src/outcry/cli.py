@@ -13,7 +13,7 @@ import sys
 from datetime import date
 from types import SimpleNamespace
 
-from .clustering import ClusterState
+from .clustering import ClusterState, require_int
 from .config import InvalidConfig, RunConfig
 from .market import (
     InsufficientData,
@@ -231,8 +231,12 @@ def cmd_evaluate(args) -> int:
             report = json.load(handle)
         state = ClusterState.load(args.state)
         truth = GroundTruth.load(args.truth)
-        reports = [SimpleNamespace(cluster_id=e["cluster_id"], controversial=e["controversial"])
-                   for e in report.get("events", [])]
+        events = report.get("events", [])
+        if not isinstance(events, list) or any(not isinstance(e["controversial"], bool)
+                                               for e in events):
+            raise ValueError("report events must be a list, each with a true/false controversial")
+        reports = [SimpleNamespace(cluster_id=require_int("cluster_id", e["cluster_id"]),
+                                   controversial=e["controversial"]) for e in events]
         result = evaluate(reports, state, truth)
     except OSError as exc:
         _fail(f"cannot read evaluation inputs: {exc}")
@@ -256,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "and measure market impact.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flat keys, unknown keys rejected)")
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=["json", "table"], help="report format")
     common.add_argument("--verbose", action="store_true", help="JSON log lines on stderr")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", parents=[common],
                               help="run the full stream -> controversy pipeline")
+    p_detect.add_argument("--config", help="JSON config file (flat keys, unknown keys rejected)")
+    p_detect.add_argument("--format", choices=["json", "table"], help="report format")
     p_detect.add_argument("--input", help="JSONL file or tcp://host:port stream")
     p_detect.add_argument("--phrases", help="comma-separated retention phrases")
     p_detect.add_argument("--lateness-seconds", type=float, default=None)

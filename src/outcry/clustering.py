@@ -233,75 +233,104 @@ class ClusterState:
 
     # -- checkpointing -----------------------------------------------------
 
-    def save(self, path) -> None:
-        """Write a versioned JSON checkpoint; loading restores bit-identical
-        state (norms included, so resumed runs match uninterrupted ones)."""
-        payload = {
+    def payload(self) -> dict:
+        """The checkpoint document ``save`` writes."""
+        params = self.params
+        return {
             "schema_version": CHECKPOINT_VERSION,
             "params": {
-                "merge_threshold": self.params.merge_threshold,
-                "min_event_size": self.params.min_event_size,
-                "inactivity_expiry_hours": self.params.inactivity_expiry.total_seconds() / 3600.0,
+                "merge_threshold": params.merge_threshold,
+                "min_event_size": params.min_event_size,
+                "inactivity_expiry_hours": params.inactivity_expiry.total_seconds() / 3600.0,
             },
-            "next_id": self.next_id,
-            "admitted": self.admitted,
-            "expired_clusters": self.expired_clusters,
-            "expired_members": self.expired_members,
+            **{key: getattr(self, key) for key in _COUNTERS},
             "clusters": [
-                {
-                    "cluster_id": c.cluster_id,
-                    "term_sums": c.term_sums,
-                    "norm_sq": c._norm_sq,
-                    "member_ids": c.member_ids,
-                    "sentiments": c.sentiments,
-                    "links": sorted(c.links),
-                    "per_day_counts": {d.isoformat(): n for d, n in sorted(c.per_day_counts.items())},
-                    "per_day_sentiment": {d.isoformat(): s for d, s in sorted(c.per_day_sentiment.items())},
-                    "created_at": c.created_at.isoformat(),
-                    "last_updated": c.last_updated.isoformat(),
-                }
+                {key: write(getattr(c, slot)) for key, (slot, write, _) in _CLUSTER_FIELDS.items()}
                 for _, c in sorted(self.clusters.items())
             ],
         }
+
+    def save(self, path) -> None:
+        """Write a versioned JSON checkpoint; loading restores bit-identical
+        state (norms included, so resumed runs match uninterrupted ones)."""
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
+            json.dump(self.payload(), handle, indent=1)
             handle.write("\n")
 
     @classmethod
     def load(cls, path) -> "ClusterState":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        version = payload.get("schema_version")
+        """The state ``save`` wrote to ``path``; ``ValueError`` for any other
+        document (see ``read_back``)."""
+        return read_back(path, cls._from_payload, "checkpoint")
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "ClusterState":
+        version = payload["schema_version"]
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {version!r}")
-        params = ClusterParams(
-            merge_threshold=payload["params"]["merge_threshold"],
-            min_event_size=payload["params"]["min_event_size"],
-            inactivity_expiry=timedelta(hours=payload["params"]["inactivity_expiry_hours"]),
-        )
-        state = cls(params)
-        state.next_id = payload["next_id"]
-        state.admitted = payload["admitted"]
-        state.expired_clusters = payload["expired_clusters"]
-        state.expired_members = payload["expired_members"]
+        params = payload["params"]
+        state = cls(ClusterParams(
+            merge_threshold=params["merge_threshold"],
+            min_event_size=params["min_event_size"],
+            inactivity_expiry=timedelta(hours=params["inactivity_expiry_hours"]),
+        ))
+        for key in _COUNTERS:
+            setattr(state, key, int(payload[key]))
         for entry in payload["clusters"]:
             cluster = EventCluster.__new__(EventCluster)
-            cluster.cluster_id = entry["cluster_id"]
-            cluster.term_sums = dict(entry["term_sums"])
-            cluster._norm_sq = entry["norm_sq"]
+            for key, (slot, _, read) in _CLUSTER_FIELDS.items():
+                setattr(cluster, slot, read(entry[key]))
             cluster.norm = math.sqrt(cluster._norm_sq)
-            cluster.member_ids = list(entry["member_ids"])
-            cluster.sentiments = [float(s) for s in entry["sentiments"]]
-            cluster.links = set(entry["links"])
-            cluster.per_day_counts = {
-                date.fromisoformat(d): n for d, n in entry["per_day_counts"].items()
-            }
-            cluster.per_day_sentiment = {
-                date.fromisoformat(d): s for d, s in entry["per_day_sentiment"].items()
-            }
-            cluster.created_at = datetime.fromisoformat(entry["created_at"])
-            cluster.last_updated = datetime.fromisoformat(entry["last_updated"])
             state.clusters[cluster.cluster_id] = cluster
             for term, weight in cluster.term_sums.items():
                 state._term_index.setdefault(term, {})[cluster.cluster_id] = weight
         return state
+
+
+def _same(value):
+    return value
+
+
+def _by_day(per_day: dict) -> dict:
+    """A per-day dict as ``save`` writes it: ISO day keys in day order."""
+    return {d.isoformat(): v for d, v in sorted(per_day.items())}
+
+
+# The checkpoint's state counters, saved and loaded as integers.
+_COUNTERS = ("next_id", "admitted", "expired_clusters", "expired_members")
+
+# Checkpoint cluster key -> (EventCluster slot, how ``save`` writes the slot
+# value, how ``load`` turns the JSON value back into it).  Each reader coerces
+# to the slot's type, so a value of another type saves back differently and
+# ``read_back`` rejects it.
+_CLUSTER_FIELDS = {
+    "cluster_id": ("cluster_id", _same, int),
+    "term_sums": ("term_sums", _same, lambda v: {str(t): float(w) for t, w in v.items()}),
+    "norm_sq": ("_norm_sq", _same, float),
+    "member_ids": ("member_ids", _same, lambda v: [str(i) for i in v]),
+    "sentiments": ("sentiments", _same, lambda v: [float(s) for s in v]),
+    "links": ("links", sorted, lambda v: {str(u) for u in v}),
+    "per_day_counts": ("per_day_counts", _by_day,
+                       lambda v: {date.fromisoformat(d): int(n) for d, n in v.items()}),
+    "per_day_sentiment": ("per_day_sentiment", _by_day,
+                          lambda v: {date.fromisoformat(d): float(s) for d, s in v.items()}),
+    "created_at": ("created_at", datetime.isoformat, datetime.fromisoformat),
+    "last_updated": ("last_updated", datetime.isoformat, datetime.fromisoformat),
+}
+
+
+def read_back(path, build, what: str):
+    """``build(document)`` for the JSON document at ``path``, which this
+    program wrote: the built object's ``payload()`` must be that document
+    again (keys in any order, every number finite), else ``ValueError``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    try:
+        built = build(document)
+        same = (json.dumps(built.payload(), sort_keys=True, allow_nan=False)
+                == json.dumps(document, sort_keys=True, allow_nan=False))
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ValueError(f"bad {what}: {type(exc).__name__}: {exc}") from exc
+    if not same:
+        raise ValueError(f"bad {what}: it does not save back to the same document")
+    return built

@@ -15,7 +15,7 @@ import re
 from datetime import date, datetime, time, timedelta, timezone
 from typing import NamedTuple
 
-from .clustering import require_finite, require_int
+from .clustering import read_back, require_finite, require_int
 from .config import InvalidConfig, read_config_file
 from .credibility import AllowList
 from .features import SentimentLexicon
@@ -131,7 +131,7 @@ def _float(name: str, value) -> float:
 
 
 # JSON key -> the check that turns its value into the field value, one entry
-# per field of InjectedEvent, ScenarioConfig and EventTruth
+# per field of InjectedEvent and ScenarioConfig
 _EVENT_KEYS = {
     "start_day": require_int,
     "duration_days": require_int,
@@ -156,12 +156,6 @@ _SCENARIO_KEYS = {
     "ambient_days": lambda name, value: None if value is None else require_int(name, value),
     "ambient_entity_rate": _float,
     "start_date": lambda name, value: date.fromisoformat(_string(name, value)),
-}
-
-_TRUTH_KEYS = {
-    "event_index": require_int,
-    "expected_controversial": _check(bool, "true or false"),
-    "tweet_ids": _strings,
 }
 
 
@@ -191,25 +185,27 @@ class GroundTruth:
     def __init__(self, events: list[EventTruth] | None = None):
         self.events = [] if events is None else events
 
+    def payload(self) -> dict:
+        """The truth document ``save`` writes."""
+        return {"schema_version": 1, "events": [e._asdict() for e in self.events]}
+
     def save(self, path) -> None:
-        payload = {"schema_version": 1, "events": [e._asdict() for e in self.events]}
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
+            json.dump(self.payload(), handle, indent=1)
             handle.write("\n")
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
-        """Raises ``InvalidConfig`` (a ``ValueError``) for an event with a
-        missing, unknown or mistyped key."""
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        events = []
-        for entry in _list("events", payload["events"]):
-            event = _from_json(EventTruth, _TRUTH_KEYS, entry, "truth event")
-            if "tweet_ids" not in entry:  # required in a file, though EventTruth has a default
-                raise InvalidConfig("bad truth event: missing key 'tweet_ids'")
-            events.append(event)
-        return cls(events=events)
+        """The truth ``save`` wrote to ``path``; ``InvalidConfig`` (a
+        ``ValueError``) for any other document (see ``read_back``)."""
+        try:
+            return read_back(path, lambda payload: cls([
+                EventTruth(int(e["event_index"]), bool(e["expected_controversial"]),
+                           tuple(str(i) for i in e["tweet_ids"]))
+                for e in payload["events"]
+            ]), "truth file")
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
 
 
 def _render_phrase(term: str) -> str:

@@ -386,7 +386,8 @@ class TestEvaluateCommand:
                      "--truth", str(tmp_path / "t.json")]) == 2
 
     @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry",
-                                       "report too deep", "state too deep", "truth too deep"])
+                                       "report too deep", "state too deep", "truth too deep",
+                                       "controversial no", "cluster_id string", "events object"])
     def test_wrong_json_shape_exits_2(self, tmp_path, capsys, wrong):
         stream = tmp_path / "in.jsonl"
         stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
@@ -395,8 +396,14 @@ class TestEvaluateCommand:
         assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
                      "--out", str(paths["report"]), "--state-out", str(paths["state"])]) == 0
         GroundTruth().save(paths["truth"])
-        if wrong == "event entry":
-            paths["report"].write_text(json.dumps({"events": [3]}))
+        reports = {
+            "event entry": {"events": [3]},
+            "controversial no": {"events": [{"cluster_id": 1, "controversial": "no"}]},
+            "cluster_id string": {"events": [{"cluster_id": "1", "controversial": True}]},
+            "events object": {"events": {}},
+        }
+        if wrong in reports:
+            paths["report"].write_text(json.dumps(reports[wrong]))
         elif wrong.endswith(" too deep"):
             paths[wrong.split()[0]].write_text("[" * 100_000 + "]" * 100_000)
         else:
@@ -407,6 +414,26 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
         assert not out.exists()
 
+    @pytest.fixture
+    def detected(self, tmp_path, scenario_file):
+        """The report, state and truth paths of a synth + detect run of
+        SCENARIO, and ``evaluate`` of them into ``eval.json``."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("report", "state", "truth")}
+        stream = tmp_path / "s.jsonl"
+        assert main(["synth", "--scenario", str(scenario_file), "--out", str(stream),
+                     "--truth", str(paths["truth"])]) == 0
+        assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
+                     "--out", str(paths["report"]), "--state-out", str(paths["state"])]) == 0
+        return paths, lambda: main([
+            "evaluate", "--report", str(paths["report"]), "--state", str(paths["state"]),
+            "--truth", str(paths["truth"]), "--out", str(tmp_path / "eval.json")])
+
+    @staticmethod
+    def _edit(path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))  # writes a NaN as NaN, which json.load reads
+
     @pytest.mark.parametrize("key, value", [
         ("tweet_ids", "first-id"),
         ("expected_controversial", "no"),
@@ -414,21 +441,66 @@ class TestEvaluateCommand:
         ("tweet_ids", None),
         ("extra", 1),
     ])
-    def test_mistyped_truth_event_exits_2(self, tmp_path, capsys, scenario_file, key, value):
-        stream, truth = tmp_path / "s.jsonl", tmp_path / "s.jsonl.truth.json"
-        report, state = tmp_path / "report.json", tmp_path / "state.json"
-        assert main(["synth", "--scenario", str(scenario_file), "--out", str(stream)]) == 0
-        assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
-                     "--out", str(report), "--state-out", str(state)]) == 0
-        payload = json.loads(truth.read_text())
-        payload["events"][0][key] = value
-        truth.write_text(json.dumps(payload))
-        out = tmp_path / "eval.json"
+    def test_mistyped_truth_event_exits_2(self, tmp_path, capsys, detected, key, value):
+        paths, run_evaluate = detected
+        self._edit(paths["truth"], lambda payload: payload["events"][0].update({key: value}))
         capsys.readouterr()
-        assert main(["evaluate", "--report", str(report), "--state", str(state),
-                     "--truth", str(truth), "--out", str(out)]) == 2
+        assert run_evaluate() == 2
         assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
-        assert not out.exists()
+        assert not (tmp_path / "eval.json").exists()
+
+    # Edits of the flagged cluster's checkpoint entry (or of the whole
+    # checkpoint); each one gives a file that ``detect --state-out`` does not write.
+    CHECKPOINT_EDITS = {
+        "member_ids string": lambda doc, c: c.update(member_ids=c["member_ids"][0]),
+        "member_ids ints": lambda doc, c: c.update(member_ids=[1, 2]),
+        "true sentiment": lambda doc, c: c.update(sentiments=[True] + c["sentiments"][1:]),
+        "cluster_id true": lambda doc, c: c.update(cluster_id=True),
+        "links string": lambda doc, c: c.update(links=" ".join(c["links"])),
+        "float per_day_counts": lambda doc, c: c.update(
+            per_day_counts={d: float(n) for d, n in c["per_day_counts"].items()}),
+        "admitted true": lambda doc, c: doc.update(admitted=True),
+        "NaN sentiment": lambda doc, c: c.update(sentiments=[NAN] + c["sentiments"][1:]),
+        "extra cluster key": lambda doc, c: c.update(extra=1),
+        "expiry 1e300 hours": lambda doc, c: doc["params"].update(inactivity_expiry_hours=1e300),
+    }
+
+    @pytest.mark.parametrize("edit", CHECKPOINT_EDITS)
+    def test_checkpoint_not_as_written_exits_2(self, tmp_path, capsys, detected, edit):
+        paths, run_evaluate = detected
+        flagged = json.loads(paths["report"].read_text())["events"][0]["cluster_id"]
+
+        def apply(doc):
+            cluster = next(c for c in doc["clusters"] if c["cluster_id"] == flagged)
+            self.CHECKPOINT_EDITS[edit](doc, cluster)
+
+        self._edit(paths["state"], apply)
+        capsys.readouterr()
+        assert run_evaluate() == 2
+        assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_truth_of_another_schema_version_exits_2(self, tmp_path, capsys, detected):
+        paths, run_evaluate = detected
+        self._edit(paths["truth"], lambda payload: payload.update(schema_version=7))
+        capsys.readouterr()
+        assert run_evaluate() == 2
+        assert capsys.readouterr().err.startswith("error: malformed evaluation input: ")
+
+    @pytest.mark.parametrize("name", ["state", "truth"])
+    def test_reordered_keys_still_load(self, tmp_path, detected, name):
+        paths, run_evaluate = detected
+
+        def reverse(value):
+            if isinstance(value, dict):
+                return {key: reverse(value[key]) for key in reversed(list(value))}
+            return [reverse(item) for item in value] if isinstance(value, list) else value
+
+        document = json.loads(paths[name].read_text())
+        paths[name].write_text(json.dumps(reverse(document)))
+        assert paths[name].read_text() != json.dumps(document)
+        assert run_evaluate() == 0
+        assert json.loads((tmp_path / "eval.json").read_text())["f1"] == 1.0
 
     @pytest.mark.parametrize("key", ["event_index", "expected_controversial", "tweet_ids"])
     def test_truth_event_keys_are_required(self, tmp_path, key):
@@ -553,6 +625,20 @@ def test_unreadable_config_file_is_an_error_not_a_traceback(tmp_path, capsys,
     assert main(argv + ["--out", str(out)]) == expected
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["market", "--prices", "p.csv", "--event-date", "2024-01-05"],
+    ["synth", "--scenario", "s.json", "--out", "s.jsonl"],
+    ["evaluate", "--report", "r.json", "--state", "s.json", "--truth", "t.json"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", [["--format", "table"], ["--config", "c.json"]],
+                         ids=lambda flag: flag[0])
+def test_config_and_format_are_detect_only(capsys, argv, flag):
+    with pytest.raises(SystemExit) as usage_error:
+        main(argv + flag)
+    assert usage_error.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["detect --out", "detect --state-out",

@@ -91,6 +91,16 @@ class TestAssign:
         assert decision == MERGED
         assert cid == 1
 
+    def test_distance_rounded_below_zero_ties_at_zero(self):
+        # {x: 7, y: 7} rounds a hair away from {x: 1, y: 1}, so under a tiny
+        # threshold it opens cluster 2.  {x: 3, y: 3} then scores 0.0 against
+        # cluster 1 and -2.2e-16 against cluster 2; both count as 0, and the
+        # tie goes to the lowest id.
+        state = ClusterState(ClusterParams(merge_threshold=1e-300))
+        state.assign(make_vector("a", {"x": 1, "y": 1}))
+        assert state.assign(make_vector("b", {"x": 7, "y": 7})) == (2, CREATED)
+        assert state.assign(make_vector("c", {"x": 3, "y": 3})) == (1, MERGED)
+
     def test_far_vector_creates_new_cluster(self):
         state = ClusterState(ClusterParams(merge_threshold=0.3))
         state.assign(make_vector("a", {"x": 1}))

@@ -207,6 +207,10 @@ class TestScoreSentiment:
     def test_intensifier_scales(self, lexicon):
         assert score("very good", lexicon) == pytest.approx(1.5)
 
+    def test_intensifiers_in_the_window_multiply(self, lexicon):
+        # so (x1.3) and very (x1.5) both scale "good" (+1.0)
+        assert score("so very good", lexicon) == pytest.approx(1.95)
+
     def test_clamped_to_range(self, lexicon):
         # extremely (x2.0) * terrible (-2.0) would be -4 before the clamp
         assert score("extremely terrible", lexicon) == -2.0

@@ -194,7 +194,6 @@ def test_key_tables_name_every_field():
     assert list(config._KEY_MAP.values()) == list(RunConfig.__slots__)
     assert tuple(synth._EVENT_KEYS) == InjectedEvent._fields
     assert tuple(synth._SCENARIO_KEYS) == ScenarioConfig._fields
-    assert tuple(synth._TRUTH_KEYS) == EventTruth._fields
     for name in RunConfig.__slots__:
         optional = name in config._OPTIONAL_STRINGS
         try:
