@@ -130,8 +130,10 @@ class EventCluster:
                 postings[cid] = new
         self._norm_sq = norm_sq
         self.norm = math.sqrt(norm_sq)
-        self.member_ids.append(vector.tweet_id)
-        self.sentiments.append(vector.sentiment)
+        # As ``load`` reads them back, so a vector built with an int id or
+        # sentiment still saves a checkpoint that loads.
+        self.member_ids.append(str(vector.tweet_id))
+        self.sentiments.append(float(vector.sentiment))
         self.links.update(vector.links)
         day = vector.day
         self.per_day_counts[day] = self.per_day_counts.get(day, 0) + 1

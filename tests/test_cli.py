@@ -418,10 +418,10 @@ class TestEvaluateCommand:
     def detected(self, tmp_path, scenario_file):
         """The report, state and truth paths of a synth + detect run of
         SCENARIO, and ``evaluate`` of them into ``eval.json``."""
-        paths = {name: tmp_path / f"{name}.json" for name in ("report", "state", "truth")}
         stream = tmp_path / "s.jsonl"
-        assert main(["synth", "--scenario", str(scenario_file), "--out", str(stream),
-                     "--truth", str(paths["truth"])]) == 0
+        paths = {name: tmp_path / f"{name}.json" for name in ("report", "state")}
+        paths["truth"] = tmp_path / "s.jsonl.truth.json"  # synth's default truth path
+        assert main(["synth", "--scenario", str(scenario_file), "--out", str(stream)]) == 0
         assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
                      "--out", str(paths["report"]), "--state-out", str(paths["state"])]) == 0
         return paths, lambda: main([

@@ -296,6 +296,15 @@ class TestCheckpoint:
         for probe in probes:
             assert state.assign(probe) == restored.assign(probe)
 
+    def test_int_id_and_sentiment_save_a_checkpoint_that_loads(self, tmp_path):
+        state = ClusterState(ClusterParams())
+        state.assign(make_vector(7, {"a": 1}, sentiment=-1))
+        path = tmp_path / "state.json"
+        state.save(path)
+        restored = ClusterState.load(path)
+        assert restored.clusters[1].member_ids == ["7"]
+        assert restored.clusters[1].sentiments == [-1.0]
+
     def test_checkpoint_bytes_stable(self, tmp_path):
         state, _, _ = self._stream_state()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
