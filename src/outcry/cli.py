@@ -43,23 +43,28 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _write_output(text: str, out_path: str | None) -> bool:
-    """Write to ``out_path`` (or stdout); False, after an ``error:`` line,
-    when the file cannot be written."""
+def _write_output(write, out_path: str | None) -> bool:
+    """``write(handle)`` on ``out_path`` opened for writing (or on stdout);
+    False, after an ``error:`` line, when the file cannot be written."""
     if not out_path:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return True
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(handle)
     except OSError as exc:
         _fail(f"cannot write output: {exc}")
         return False
     return True
+
+
+def _write_json(payload: dict, out_path: str | None) -> bool:
+    """``payload`` as indented JSON with sorted keys, streamed by
+    ``json.dump``: ``json.dumps`` with an indent joins the whole text first."""
+    def write(handle):
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return _write_output(write, out_path)
 
 
 def _events_table(payload: dict) -> str:
@@ -125,8 +130,11 @@ def cmd_detect(args) -> int:
     payload = report_payload(result, cfg)
     _log(args.verbose, "detect_done",
          counters=payload["counters"], events=len(payload["events"]))
-    text = _dump_json(payload) if cfg.format == "json" else _events_table(payload)
-    if not _write_output(text, cfg.out):
+    if cfg.format == "json":
+        written = _write_json(payload, cfg.out)
+    else:
+        written = _write_output(lambda handle: handle.write(_events_table(payload)), cfg.out)
+    if not written:
         return EXIT_INPUT
     if cfg.state_out:
         try:
@@ -197,7 +205,7 @@ def cmd_market(args) -> int:
             _fail(f"cannot pair index series: {exc}")
             status = EXIT_INPUT
 
-    if not _write_output(_dump_json(_round_floats(payload)), args.out):
+    if not _write_json(_round_floats(payload), args.out):
         return EXIT_INPUT
     _log(args.verbose, "market_done", status=status)
     return status
@@ -212,10 +220,10 @@ def cmd_synth(args) -> int:
     except OSError as exc:
         _fail(f"cannot read scenario: {exc}")
         return EXIT_INPUT
+    if not _write_output(lambda handle: handle.writelines(line + "\n" for line in lines),
+                         args.out):
+        return EXIT_INPUT
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
         truth.save(args.truth or args.out + ".truth.json")
     except OSError as exc:
         _fail(f"cannot write output: {exc}")
@@ -247,7 +255,7 @@ def cmd_evaluate(args) -> int:
         _fail(f"malformed evaluation input: {exc}")
         return EXIT_INPUT
     payload = {"schema_version": SCHEMA_VERSION, **result._asdict()}
-    if not _write_output(_dump_json(_round_floats(payload)), args.out):
+    if not _write_json(_round_floats(payload), args.out):
         return EXIT_INPUT
     _log(args.verbose, "evaluate_done", f1=result.f1)
     return EXIT_OK

@@ -28,7 +28,7 @@ from .features import TweetVector
 MERGED = "merged"
 CREATED = "created"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DegenerateVector(ValueError):
@@ -82,7 +82,7 @@ class EventCluster:
     """
 
     __slots__ = (
-        "cluster_id", "term_sums", "member_ids", "sentiments", "links",
+        "cluster_id", "term_sums", "member_ids", "sentiment_partials", "links",
         "per_day_counts", "per_day_sentiment", "created_at", "last_updated",
         "_norm_sq", "norm",
     )
@@ -92,7 +92,7 @@ class EventCluster:
         self.cluster_id = cluster_id
         self.term_sums: dict[str, float] = {}
         self.member_ids: list[str] = []
-        self.sentiments: list[float] = []
+        self.sentiment_partials: list[float] = []
         self.links: set[str] = set()
         self.per_day_counts: dict[date, int] = {}
         self.per_day_sentiment: dict[date, float] = {}
@@ -133,7 +133,22 @@ class EventCluster:
         # As ``load`` reads them back, so a vector built with an int id or
         # sentiment still saves a checkpoint that loads.
         self.member_ids.append(str(vector.tweet_id))
-        self.sentiments.append(float(vector.sentiment))
+        x = float(vector.sentiment)
+        # Shewchuk's grow step (the algorithm behind math.fsum): the partials
+        # stay non-overlapping and sum exactly to the members' sentiments, so
+        # math.fsum of them is math.fsum of the sentiments.
+        partials = self.sentiment_partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
         self.links.update(vector.links)
         day = vector.day
         self.per_day_counts[day] = self.per_day_counts.get(day, 0) + 1
@@ -237,6 +252,10 @@ class ClusterState:
 
     def payload(self) -> dict:
         """The checkpoint document ``save`` writes."""
+        return self._document([_entry(c) for _, c in sorted(self.clusters.items())])
+
+    def _document(self, clusters: list) -> dict:
+        """The checkpoint document with ``clusters`` as its cluster entries."""
         params = self.params
         return {
             "schema_version": CHECKPOINT_VERSION,
@@ -246,18 +265,27 @@ class ClusterState:
                 "inactivity_expiry_hours": params.inactivity_expiry.total_seconds() / 3600.0,
             },
             **{key: getattr(self, key) for key in _COUNTERS},
-            "clusters": [
-                {key: write(getattr(c, slot)) for key, (slot, write, _) in _CLUSTER_FIELDS.items()}
-                for _, c in sorted(self.clusters.items())
-            ],
+            "clusters": clusters,
         }
 
     def save(self, path) -> None:
         """Write a versioned JSON checkpoint; loading restores bit-identical
-        state (norms included, so resumed runs match uninterrupted ones)."""
+        state (norms included, so resumed runs match uninterrupted ones).
+
+        The bytes are ``json.dumps(self.payload(), indent=1) + "\n"``, written
+        one cluster entry at a time so the whole document is never built."""
+        # "clusters" is the last key, so the document ends "[]\n}".
+        head, tail = json.dumps(self._document([]), indent=1).rsplit("[]", 1)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.payload(), handle, indent=1)
-            handle.write("\n")
+            handle.write(head + "[")
+            separator = "\n  "
+            for _, cluster in sorted(self.clusters.items()):
+                handle.write(separator)
+                # An entry sits two levels deep: indent each of its lines by
+                # two more spaces (JSON strings hold no raw newline).
+                handle.write(json.dumps(_entry(cluster), indent=1).replace("\n", "\n  "))
+                separator = ",\n  "
+            handle.write(("\n ]" if self.clusters else "]") + tail + "\n")
 
     @classmethod
     def load(cls, path) -> "ClusterState":
@@ -293,6 +321,12 @@ def _same(value):
     return value
 
 
+def _entry(cluster: EventCluster) -> dict:
+    """A cluster's checkpoint entry, as ``payload`` and ``save`` write it."""
+    return {key: write(getattr(cluster, slot))
+            for key, (slot, write, _) in _CLUSTER_FIELDS.items()}
+
+
 def _by_day(per_day: dict) -> dict:
     """A per-day dict as ``save`` writes it: ISO day keys in day order."""
     return {d.isoformat(): v for d, v in sorted(per_day.items())}
@@ -310,7 +344,7 @@ _CLUSTER_FIELDS = {
     "term_sums": ("term_sums", _same, lambda v: {str(t): float(w) for t, w in v.items()}),
     "norm_sq": ("_norm_sq", _same, float),
     "member_ids": ("member_ids", _same, lambda v: [str(i) for i in v]),
-    "sentiments": ("sentiments", _same, lambda v: [float(s) for s in v]),
+    "sentiment_partials": ("sentiment_partials", _same, lambda v: [float(s) for s in v]),
     "links": ("links", sorted, lambda v: {str(u) for u in v}),
     "per_day_counts": ("per_day_counts", _by_day,
                        lambda v: {date.fromisoformat(d): int(n) for d, n in v.items()}),

@@ -53,10 +53,11 @@ def entity_velocity(volume: dict[date, int], today: date) -> float:
 
 
 def event_sentiment(cluster: EventCluster) -> float:
-    """Arithmetic mean of member sentiment scores."""
+    """Arithmetic mean of member sentiment scores: the exact sum, held as the
+    cluster's sentiment partials, correctly rounded, over the member count."""
     if cluster.member_count < 1:
         raise ValueError("cluster has no members")
-    return math.fsum(cluster.sentiments) / cluster.member_count
+    return math.fsum(cluster.sentiment_partials) / cluster.member_count
 
 
 class ControversyReport(NamedTuple):

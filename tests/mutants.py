@@ -69,6 +69,12 @@ MUTANTS = (
            "(d == best_dist and cid < best_id)", "(d == best_dist and cid > best_id)",
            (CLUS + "TestAssign::test_equidistant_tie_goes_to_lowest_cluster_id",
             CLUS + "TestAssign::test_tie_goes_to_lowest_id_when_a_higher_id_is_scored_first")),
+    Mutant("sentiment grow step without the magnitude swap", "clustering.py",
+           "            if abs(x) < abs(y):\n                x, y = y, x\n", "",
+           (CLUS + "TestSentimentPartials::test_fsum_of_partials_is_fsum_of_sentiments",)),
+    Mutant("sentiment grow step drops the rounding error", "clustering.py",
+           "lo = y - (hi - x)", "lo = 0.0",
+           (CLUS + "TestSentimentPartials::test_fsum_of_partials_is_fsum_of_sentiments",)),
     Mutant("expiry cutoff a window too late", "clustering.py",
            "cutoff = now - self.params.inactivity_expiry",
            "cutoff = now - 2 * self.params.inactivity_expiry",
@@ -131,6 +137,12 @@ MUTANTS = (
            "    if not same:\n", "    if False:\n",
            (EVAL + "test_checkpoint_not_as_written_exits_2",
             EVAL + "test_truth_of_another_schema_version_exits_2")),
+    Mutant("checkpoint cluster entries without a comma between them", "clustering.py",
+           r'separator = ",\n  "', r'separator = "\n  "',
+           (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
+    Mutant("an empty cluster list closed like a full one", "clustering.py",
+           r'("\n ]" if self.clusters else "]")', r'"\n ]"',
+           (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
     Mutant("member_ids read as they are", "clustering.py",
            '"member_ids": ("member_ids", _same, lambda v: [str(i) for i in v]),',
            '"member_ids": ("member_ids", _same, _same),',

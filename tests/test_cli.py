@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import outcry
-from outcry import GroundTruth, InvalidConfig, RunConfig, ingest, run_detection
+from outcry import ClusterState, GroundTruth, InvalidConfig, RunConfig, ingest, run_detection
 from outcry.cli import main
 
 from test_market import calibrated_returns
@@ -128,13 +128,16 @@ class TestDetectCommand:
     def test_empty_input_gives_empty_report(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        out = tmp_path / "report.json"
+        out, state = tmp_path / "report.json", tmp_path / "state.json"
         code = main(["detect", "--input", str(empty), "--phrases", "acme",
-                     "--out", str(out)])
+                     "--out", str(out), "--state-out", str(state)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["events"] == []
         assert payload["counters"]["total"] == 0
+        # the zero-cluster edge of the checkpoint writer
+        assert ClusterState.load(state).clusters == {}
+        assert json.loads(state.read_text())["clusters"] == []
 
     def test_unknown_config_key_exits_1_without_output(self, tmp_path):
         config = tmp_path / "config.json"
@@ -256,6 +259,20 @@ class TestDetectCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "cluster" in out and "YES" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_stdout_and_out_file_bytes_match(self, tmp_path, scenario_file, capsys, fmt):
+        stream, report = tmp_path / "stream.jsonl", tmp_path / "report.out"
+        main(["synth", "--scenario", str(scenario_file), "--out", str(stream)])
+        detect = ["detect", "--input", str(stream), "--phrases", "acmecorp", "--format", fmt]
+        capsys.readouterr()
+        assert main(detect) == 0
+        printed = capsys.readouterr().out
+        assert main(detect + ["--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text(encoding="utf-8") == printed
+        if fmt == "json":
+            assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
 
     def test_daily_summaries_present(self, tmp_path, scenario_file):
         stream = tmp_path / "stream.jsonl"
@@ -454,15 +471,20 @@ class TestEvaluateCommand:
     CHECKPOINT_EDITS = {
         "member_ids string": lambda doc, c: c.update(member_ids=c["member_ids"][0]),
         "member_ids ints": lambda doc, c: c.update(member_ids=[1, 2]),
-        "true sentiment": lambda doc, c: c.update(sentiments=[True] + c["sentiments"][1:]),
+        "true sentiment": lambda doc, c: c.update(
+            sentiment_partials=[True] + c["sentiment_partials"][1:]),
         "cluster_id true": lambda doc, c: c.update(cluster_id=True),
         "links string": lambda doc, c: c.update(links=" ".join(c["links"])),
         "float per_day_counts": lambda doc, c: c.update(
             per_day_counts={d: float(n) for d, n in c["per_day_counts"].items()}),
         "admitted true": lambda doc, c: doc.update(admitted=True),
-        "NaN sentiment": lambda doc, c: c.update(sentiments=[NAN] + c["sentiments"][1:]),
+        "NaN sentiment": lambda doc, c: c.update(
+            sentiment_partials=[NAN] + c["sentiment_partials"][1:]),
         "extra cluster key": lambda doc, c: c.update(extra=1),
         "expiry 1e300 hours": lambda doc, c: doc["params"].update(inactivity_expiry_hours=1e300),
+        "version 1": lambda doc, c: doc.update(schema_version=1, clusters=[
+            {("sentiments" if k == "sentiment_partials" else k): v for k, v in e.items()}
+            for e in doc["clusters"]]),
     }
 
     @pytest.mark.parametrize("edit", CHECKPOINT_EDITS)
@@ -642,7 +664,7 @@ def test_config_and_format_are_detect_only(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("target", ["detect --out", "detect --state-out",
-                                    "market --out", "evaluate --out"])
+                                    "market --out", "evaluate --out", "synth --out"])
 def test_unwritable_output_is_input_error(tmp_path, target):
     missing = tmp_path / "missing" / "dir" / "out.json"
     stream = tmp_path / "in.jsonl"
@@ -655,6 +677,8 @@ def test_unwritable_output_is_input_error(tmp_path, target):
         GroundTruth().save(truth)
     prices = tmp_path / "prices.csv"
     event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
     argv = {
         "detect --out": detect + ["--out", str(missing)],
         "detect --state-out": detect + ["--out", str(report), "--state-out", str(missing)],
@@ -662,6 +686,7 @@ def test_unwritable_output_is_input_error(tmp_path, target):
                          "--event-date", event_day.isoformat(), "--out", str(missing)],
         "evaluate --out": ["evaluate", "--report", str(report), "--state", str(state),
                            "--truth", str(truth), "--out", str(missing)],
+        "synth --out": ["synth", "--scenario", str(scenario), "--out", str(missing)],
     }[target]
     env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
     ran = subprocess.run([sys.executable, "-m", "outcry.cli", *argv],

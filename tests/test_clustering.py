@@ -4,6 +4,8 @@ import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outcry import (
     CREATED,
@@ -11,6 +13,8 @@ from outcry import (
     ClusterParams,
     ClusterState,
     DegenerateVector,
+    EventCluster,
+    event_sentiment,
 )
 
 from conftest import BASE_TIME, make_vector
@@ -223,10 +227,15 @@ class TestStreamInvariants:
         rng = random.Random(6)
         vocab = [f"v{i}" for i in range(8)]
         state = ClusterState(ClusterParams(merge_threshold=0.6))
+        sentiments = {}
         for i in range(80):
-            state.assign(random_vector(rng, i, vocab))
+            vec = random_vector(rng, i, vocab)._replace(sentiment=rng.uniform(-2, 2))
+            sentiments[vec.tweet_id] = vec.sentiment
+            state.assign(vec)
         for c in state.clusters.values():
-            assert c.member_count == len(c.member_ids) == len(c.sentiments)
+            assert c.member_count == len(c.member_ids)
+            assert (math.fsum(c.sentiment_partials)
+                    == math.fsum(sentiments[m] for m in c.member_ids))
             assert sum(c.per_day_counts.values()) == c.member_count
 
     def test_tiny_threshold_makes_singletons(self):
@@ -303,7 +312,7 @@ class TestCheckpoint:
         state.save(path)
         restored = ClusterState.load(path)
         assert restored.clusters[1].member_ids == ["7"]
-        assert restored.clusters[1].sentiments == [-1.0]
+        assert restored.clusters[1].sentiment_partials == [-1.0]
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         state, _, _ = self._stream_state()
@@ -317,12 +326,23 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         state.save(path)
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            ClusterState.load(path)
+        for version in (1, 99):
+            payload["schema_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version: {version}"):
+                ClusterState.load(path)
+
+    @pytest.mark.parametrize("vectors, clusters", [(0, 0), (1, 1), (40, 5)])
+    def test_save_writes_the_payload_as_dumps_does(self, tmp_path, vectors, clusters):
+        """``save`` streams one cluster at a time; the bytes are still those
+        of the whole document dumped at once."""
+        state, _, _ = self._stream_state(n=vectors)
+        assert len(state.clusters) == clusters
+        path = tmp_path / "state.json"
+        state.save(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(state.payload(), indent=1) + "\n"
 
     def test_counters_survive_roundtrip(self, tmp_path):
         state, _, _ = self._stream_state()
@@ -332,3 +352,31 @@ class TestCheckpoint:
         assert restored.admitted == state.admitted
         assert restored.next_id == state.next_id
         assert set(restored.clusters) == set(state.clusters)
+
+
+# Sentiments that cancel, underflow or dwarf each other, beside ordinary ones.
+ADVERSARIAL = [1e16, -1e16, 1.0, -1.0, 1e100, -1e100, 2.0 ** -60, -(2.0 ** -60),
+               1e-300, 5e-324, 0.1, -0.0]
+
+
+class TestSentimentPartials:
+    """A cluster keeps its members' sentiments as Shewchuk partials whose
+    math.fsum is math.fsum of the sentiments, exactly."""
+
+    @staticmethod
+    def _cluster(values):
+        cluster = EventCluster(1, make_vector("m0", {"x": 1}, sentiment=values[0]))
+        for i, s in enumerate(values[1:], start=1):
+            cluster.add(make_vector(f"m{i}", {"x": 1}, sentiment=s))
+        return cluster
+
+    @given(st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(ADVERSARIAL),
+                              st.floats(-1e-300, 1e-300)), min_size=1, max_size=60))
+    @example([1e16, 1.0, -1e16])
+    @example([1e-300] * 500 + [1.0, -1.0])
+    @example([0.1] * 10 + [-1.0])
+    @settings(max_examples=300, deadline=None)
+    def test_fsum_of_partials_is_fsum_of_sentiments(self, values):
+        cluster = self._cluster(values)
+        assert math.fsum(cluster.sentiment_partials) == math.fsum(values)
+        assert event_sentiment(cluster) == math.fsum(values) / len(values)
