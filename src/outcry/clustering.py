@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from datetime import date, datetime, timedelta
+from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from .features import TweetVector
@@ -79,11 +80,17 @@ class EventCluster:
     ``centroid`` (mean term weights) is derived from the sums on demand;
     ``norm`` is the L2 norm of the sums, set once per member from the squared
     norm, which is maintained incrementally.
+
+    Member ids are kept in one buffer, each as its JSON text (ASCII, with no
+    raw newline) followed by a newline: about 17 bytes a member where a
+    ``str`` in a list costs about 70.  ``member_ids`` decodes them; an id
+    holding a high surrogate then a low one reads back as the one character
+    the pair encodes, as it does from a checkpoint.
     """
 
     __slots__ = (
-        "cluster_id", "term_sums", "member_ids", "sentiment_partials", "links",
-        "per_day_counts", "per_day_sentiment", "created_at", "last_updated",
+        "cluster_id", "term_sums", "member_count", "_member_text", "sentiment_partials",
+        "links", "per_day_counts", "per_day_sentiment", "created_at", "last_updated",
         "_norm_sq", "norm",
     )
 
@@ -91,7 +98,8 @@ class EventCluster:
                  index: dict[str, dict[int, float]] | None = None):
         self.cluster_id = cluster_id
         self.term_sums: dict[str, float] = {}
-        self.member_ids: list[str] = []
+        self.member_count = 0
+        self._member_text = bytearray()
         self.sentiment_partials: list[float] = []
         self.links: set[str] = set()
         self.per_day_counts: dict[date, int] = {}
@@ -102,12 +110,13 @@ class EventCluster:
         self.add(vector, index)
 
     @property
-    def member_count(self) -> int:
-        return len(self.member_ids)
+    def member_ids(self) -> list[str]:
+        """The members' tweet ids, in the order they joined."""
+        return _ids(self._member_text)
 
     @property
     def centroid(self) -> dict[str, float]:
-        n = len(self.member_ids)
+        n = self.member_count
         return {term: weight / n for term, weight in self.term_sums.items()}
 
     def add(self, vector: TweetVector,
@@ -131,8 +140,11 @@ class EventCluster:
         self._norm_sq = norm_sq
         self.norm = math.sqrt(norm_sq)
         # As ``load`` reads them back, so a vector built with an int id or
-        # sentiment still saves a checkpoint that loads.
-        self.member_ids.append(str(vector.tweet_id))
+        # sentiment still saves a checkpoint that loads.  The id's JSON text is
+        # what json.dumps writes for the str.
+        id_text = encode_basestring_ascii(str(vector.tweet_id))
+        self._member_text += (id_text + "\n").encode("ascii")
+        self.member_count += 1
         x = float(vector.sentiment)
         # Shewchuk's grow step (the algorithm behind math.fsum): the partials
         # stay non-overlapping and sum exactly to the members' sentiments, so
@@ -185,6 +197,7 @@ class ClusterState:
         terms = vector.terms
         if not terms:
             raise DegenerateVector("cannot assign an empty-term vector")
+        require_finite("sentiment", vector.sentiment)
 
         index = self._term_index
         clusters = self.clusters
@@ -311,6 +324,7 @@ class ClusterState:
             for key, (slot, _, read) in _CLUSTER_FIELDS.items():
                 setattr(cluster, slot, read(entry[key]))
             cluster.norm = math.sqrt(cluster._norm_sq)
+            cluster.member_count = cluster._member_text.count(b"\n")
             state.clusters[cluster.cluster_id] = cluster
             for term, weight in cluster.term_sums.items():
                 state._term_index.setdefault(term, {})[cluster.cluster_id] = weight
@@ -325,6 +339,19 @@ def _entry(cluster: EventCluster) -> dict:
     """A cluster's checkpoint entry, as ``payload`` and ``save`` write it."""
     return {key: write(getattr(cluster, slot))
             for key, (slot, write, _) in _CLUSTER_FIELDS.items()}
+
+
+def _ids(text: bytearray) -> list:
+    """The ids in a cluster's member text, in order."""
+    return json.loads(b"[" + text[:-1].replace(b"\n", b",") + b"]")
+
+
+def _ids_text(ids: list) -> bytearray:
+    """``ids`` as ``EventCluster.add`` keeps them: each one's JSON text and a
+    newline (one encoder call, with a newline as the item separator)."""
+    if not ids:
+        return bytearray()
+    return bytearray(json.dumps(ids, separators=("\n", ":"))[1:-1] + "\n", "ascii")
 
 
 def _by_day(per_day: dict) -> dict:
@@ -343,7 +370,7 @@ _CLUSTER_FIELDS = {
     "cluster_id": ("cluster_id", _same, int),
     "term_sums": ("term_sums", _same, lambda v: {str(t): float(w) for t, w in v.items()}),
     "norm_sq": ("_norm_sq", _same, float),
-    "member_ids": ("member_ids", _same, lambda v: [str(i) for i in v]),
+    "member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),
     "sentiment_partials": ("sentiment_partials", _same, lambda v: [float(s) for s in v]),
     "links": ("links", sorted, lambda v: {str(u) for u in v}),
     "per_day_counts": ("per_day_counts", _by_day,

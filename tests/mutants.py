@@ -144,9 +144,21 @@ MUTANTS = (
            r'("\n ]" if self.clusters else "]")', r'"\n ]"',
            (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
     Mutant("member_ids read as they are", "clustering.py",
-           '"member_ids": ("member_ids", _same, lambda v: [str(i) for i in v]),',
-           '"member_ids": ("member_ids", _same, _same),',
+           '"member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),',
+           '"member_ids": ("_member_text", _ids, _ids_text),',
            (EVAL + "test_checkpoint_not_as_written_exits_2",)),
+    # -- member ids kept as JSON text (EventCluster._member_text) -----------
+    Mutant("member id decoding drops the last id", "clustering.py",
+           r'text[:-1].replace(b"\n", b",")',
+           r'text[:-1].rpartition(b"\n")[0].replace(b"\n", b",")',
+           (CLUS + "TestMemberIds::test_ids_round_trip",)),
+    Mutant("member_count read back one too many", "clustering.py",
+           r'cluster.member_count = cluster._member_text.count(b"\n")',
+           r'cluster.member_count = cluster._member_text.count(b"\n") + 1',
+           (CLUS + "TestMemberIds::test_ids_round_trip",)),
+    Mutant("a non-finite sentiment is admitted", "clustering.py",
+           '        require_finite("sentiment", vector.sentiment)\n', "",
+           (CLUS + "TestAssign::test_non_finite_sentiment_rejected_before_any_change",)),
 )
 
 

@@ -1,10 +1,12 @@
+import copy
 import json
 import math
 import random
+import tracemalloc
 from datetime import timedelta
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from outcry import (
@@ -116,6 +118,19 @@ class TestAssign:
         state = ClusterState()
         with pytest.raises(DegenerateVector):
             state.assign(make_vector("a", {}))
+
+    @pytest.mark.parametrize("sentiment", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sentiment_rejected_before_any_change(self, sentiment):
+        # A merge would otherwise turn the cluster's partials into [nan, inf].
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        state.assign(make_vector("a", {"x": 1}, sentiment=1.0))
+        before = (state.admitted, state.next_id, state.payload(),
+                  copy.deepcopy(state._term_index))
+        for terms in ({"x": 1}, {"y": 1}):  # would merge; would create
+            with pytest.raises(ValueError, match="sentiment must be a finite number"):
+                state.assign(make_vector("b", terms, sentiment=sentiment))
+            assert (state.admitted, state.next_id, state.payload(),
+                    state._term_index) == before
 
 
 class TestCandidateEvents:
@@ -380,3 +395,55 @@ class TestSentimentPartials:
         cluster = self._cluster(values)
         assert math.fsum(cluster.sentiment_partials) == math.fsum(values)
         assert event_sentiment(cluster) == math.fsum(values) / len(values)
+
+
+# Ids that JSON escapes (a quote, a backslash, a newline, a lone surrogate,
+# an astral character) or that look like separators.
+AWKWARD_IDS = ["", "\n", '"', "\\", "a,b", " ", "\ud800", "\U0001F600", "\u2028"]
+
+
+class TestMemberIds:
+    """A cluster keeps its member ids as JSON text in one buffer; they read
+    back, save and load as the ids themselves."""
+
+    @given(st.lists(st.one_of(st.text(), st.sampled_from(AWKWARD_IDS)), min_size=1, max_size=30))
+    @example(AWKWARD_IDS)
+    @example(["only"])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ids_round_trip(self, tmp_path, ids):
+        # Every third id opens or joins a second cluster.
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        for i, tweet_id in enumerate(ids):
+            state.assign(make_vector(tweet_id, {"y" if i % 3 == 2 else "x": 1}))
+        assert set(state.clusters) == ({1, 2} if len(ids) > 2 else {1})
+        for cid, cluster in state.clusters.items():
+            joined = [t for i, t in enumerate(ids) if (i % 3 == 2) == (cid == 2)]
+            assert cluster.member_ids == joined
+            assert cluster.member_count == len(joined)
+
+        path = tmp_path / "state.json"
+        state.save(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(state.payload(), indent=1) + "\n"
+        restored = ClusterState.load(path)
+        assert ({cid: (c.member_ids, c.member_count) for cid, c in restored.clusters.items()}
+                == {cid: (c.member_ids, c.member_count) for cid, c in state.clusters.items()})
+
+    def test_a_member_leaves_a_few_bytes_behind(self):
+        """Growth per member of one cluster between n and 2n members: the id's
+        text and newline (16 bytes here) and the buffer's over-allocation.  A
+        ``str`` per id in a list costs about 70."""
+        n = 10_000
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                state.assign(make_vector(f"syn-000-{i:05d}", {"x": 1}))
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n, 2 * n):
+                state.assign(make_vector(f"syn-000-{i:05d}", {"x": 1}))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(state.clusters) == 1 and state.clusters[1].member_count == 2 * n
+        assert (after - before) / n < 40
