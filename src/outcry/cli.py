@@ -239,7 +239,7 @@ def cmd_evaluate(args) -> int:
             report = json.load(handle)
         state = ClusterState.load(args.state)
         truth = GroundTruth.load(args.truth)
-        events = report.get("events", [])
+        events = report["events"]
         if not isinstance(events, list) or any(not isinstance(e["controversial"], bool)
                                                for e in events):
             raise ValueError("report events must be a list, each with a true/false controversial")

@@ -325,6 +325,10 @@ class ClusterState:
                 setattr(cluster, slot, read(entry[key]))
             cluster.norm = math.sqrt(cluster._norm_sq)
             cluster.member_count = cluster._member_text.count(b"\n")
+            days = sum(cluster.per_day_counts.values())
+            if cluster.member_count != days:
+                raise ValueError(f"cluster {cluster.cluster_id} has {cluster.member_count} "
+                                 f"member_ids, but its per_day_counts sum to {days}")
             state.clusters[cluster.cluster_id] = cluster
             for term, weight in cluster.term_sums.items():
                 state._term_index.setdefault(term, {})[cluster.cluster_id] = weight

@@ -1,13 +1,12 @@
 """Tweet feature extraction: tokens, heuristic tagging, 5W terms, sentiment.
 
 ``FeatureExtractor.vector`` is the one way to turn a tweet into features.
-The text is split on whitespace and scanned into parallel lists of token
-surfaces, kinds and lowercased words (``_scan``); each distinct chunk is
-tokenized once and its tokens are kept in a cache of at most
-``CHUNK_CACHE_TOKENS`` tokens, which ``_scan`` sets aside for a while when too
-few chunks repeat.  One loop over those lists tags each word and emits the 5W
-terms (``_terms``); the sentiment score (``_sentiment``) is read off the same
-lowercased words.
+The tagger splits the text on whitespace and scans it into parallel lists of
+token surfaces, kinds, lowercased words and verb lemmas (``RuleTagger._scan``);
+each distinct chunk is tokenized, and its words' lemmas found, once, and kept
+in the tagger's memo of at most ``CHUNK_CACHE_TOKENS`` tokens.  One loop over
+those lists tags each word and emits the 5W terms (``_terms``); the sentiment
+score (``_sentiment``) is read off the same lowercased words.
 
 Each pass that would find nothing is skipped, with the same result: the
 gazetteer lookups when no word starts a gazetteer phrase, and the sentiment
@@ -15,8 +14,8 @@ loop (score 0.0) when no word is in the lexicon.
 
 The tagger is a deliberately simple capitalization/word-list heuristic; its
 data (verb list, gazetteer, lemma rules) lives in ``RuleTagger``.  All
-functions here give results that depend on their arguments only; the caches
-change how fast, never what.
+functions here give results that depend on their arguments only; the memo
+changes how fast, never what.
 """
 
 from __future__ import annotations
@@ -53,121 +52,17 @@ _TOKEN_RE = re.compile(
 
 _SENTENCE_END = re.compile(r"[.!?]")
 
-# Distinct words whose verb lemma a tagger remembers before starting over.
-LEMMA_CACHE_SIZE = 1 << 16
-_UNSEEN = object()
-
-
-# ``_scan`` remembers the tokens of the whitespace-separated chunks it has
+# A tagger remembers the tokens of the whitespace-separated chunks it has
 # seen, and starts over once the chunks it tokenized since the last start
 # hold CHUNK_CACHE_TOKENS tokens.  Chunks longer than CHUNK_MAX_LEN characters
-# (links, text without spaces) are tokenized but not kept, so the cache holds
+# (links, text without spaces) are tokenized but not kept, so the memo holds
 # at most CHUNK_CACHE_TOKENS tokens, none longer than CHUNK_MAX_LEN.
 CHUNK_CACHE_TOKENS = 1 << 14
 CHUNK_MAX_LEN = 32
-# A chunk found in the cache costs a lookup; a missed one costs its own regex
-# pass and a new entry, about three times its share of the one regex pass
-# over the whole text (``_scan_text``).  Below about four found chunks in
-# five the cache costs more than it saves, so when fewer than that were found
-# between two starts, ``_scan`` uses ``_scan_text`` for the next
-# CHUNK_BYPASS_TEXTS texts, then tries the cache again.
-CHUNK_BYPASS_TEXTS = 1 << 16
 
-_Tokens = tuple[tuple[str, str, str | None, str | None], ...]
-
-
-class _ChunkCache:
-    """chunk -> its tokens as (surface, kind, lowercased word or None, hashtag
-    term or None).  A pure memo: a chunk's tokens do not depend on its
-    context, so whether a text is scanned through it never changes the
-    result."""
-
-    def __init__(self):
-        self.tokens: dict[str, _Tokens] = {}
-        self.scanned = 0  # chunks scanned since the last start
-        self.missed = 0  # of those, the ones not found in ``tokens``
-        self.load = 0  # the missed chunks' tokens, at least the tokens held
-        self.bypass = 0  # texts still to scan without the cache
-
-    def restart(self) -> None:
-        """Start over, first setting the cache aside for a while when it
-        found too few chunks."""
-        if self.missed * 5 > self.scanned:
-            self.bypass = CHUNK_BYPASS_TEXTS
-        self.tokens.clear()
-        self.scanned = self.missed = self.load = 0
-
-
-_chunk_cache = _ChunkCache()
-
-
-def _tokenize_chunk(chunk: str) -> _Tokens:
-    entries = []
-    for match in _TOKEN_RE.finditer(chunk):
-        surface = match.group()
-        kind = match.lastgroup
-        entries.append((surface, kind, surface.lower() if kind == WORD else None,
-                        surface[1:].lower() if kind == HASHTAG else None))
-    return tuple(entries)
-
-
-def _scan_text(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
-    """``_scan`` without the cache: one regex pass over the whole text."""
-    surfaces: list[str] = []
-    kinds: list[str] = []
-    words: list[str | None] = []
-    hashtags: list[str] = []
-    for match in _TOKEN_RE.finditer(text):
-        surface = match.group()
-        kind = match.lastgroup
-        surfaces.append(surface)
-        kinds.append(kind)
-        if kind == WORD:
-            words.append(surface.lower())
-        else:
-            words.append(None)
-            if kind == HASHTAG:
-                hashtags.append(surface[1:].lower())
-    return surfaces, kinds, words, hashtags
-
-
-def _scan(text: str) -> tuple[list[str], list[str], list[str | None], list[str]]:
-    """Token surfaces, kinds, and lowercased words (None for non-word
-    tokens) as parallel lists, plus the hashtag terms in order.
-
-    No token contains whitespace and every other character starts one, so a
-    text's tokens are its whitespace-separated chunks' tokens in order
-    (``str.split`` and the regex ``\\s`` agree on every code point).  Each
-    distinct chunk is matched against ``_TOKEN_RE`` once, then looked up,
-    except while the cache is set aside (see CHUNK_BYPASS_TEXTS)."""
-    cache = _chunk_cache
-    if cache.bypass:
-        cache.bypass -= 1
-        return _scan_text(text)
-    chunks = text.split()
-    cache.scanned += len(chunks)
-    tokens = cache.tokens
-    surfaces: list[str] = []
-    kinds: list[str] = []
-    words: list[str | None] = []
-    hashtags: list[str] = []
-    for chunk in chunks:
-        entries = tokens.get(chunk)
-        if entries is None:
-            entries = _tokenize_chunk(chunk)
-            if cache.load + len(entries) > CHUNK_CACHE_TOKENS:
-                cache.restart()
-            cache.missed += 1
-            cache.load += len(entries)
-            if len(chunk) <= CHUNK_MAX_LEN and cache.load <= CHUNK_CACHE_TOKENS:
-                tokens[chunk] = entries
-        for surface, kind, word, hashtag in entries:
-            surfaces.append(surface)
-            kinds.append(kind)
-            words.append(word)
-            if hashtag is not None:
-                hashtags.append(hashtag)
-    return surfaces, kinds, words, hashtags
+# A chunk's tokens, each as (surface, kind, lowercased word or None, hashtag
+# term or None, verb lemma or None).
+_Tokens = tuple[tuple[str, str, str | None, str | None, str | None], ...]
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -233,9 +128,11 @@ class SentimentLexicon(NamedTuple("SentimentLexicon", [
 class RuleTagger:
     """The tagging data behind the 5W terms: the verb list, the gazetteer
     indexed by first word, and the suffix rules that map a word to its verb
-    lemma.  ``_terms`` applies them in one pass over a text's tokens.
+    lemma.  ``_scan`` tokenizes a text and gives each word its lemma;
+    ``_terms`` applies the rest in one pass over the result.
 
-    Lemmas are cached per tagger, so ``verbs`` must not change after use.
+    Each tagger keeps a memo of the chunks it has tokenized, lemmas included,
+    so ``verbs`` must not change after use.
     """
 
     def __init__(self, verbs: frozenset[str] | None = None,
@@ -248,12 +145,12 @@ class RuleTagger:
             self._gaz_index.setdefault(phrase[0], []).append(list(phrase))
         for candidates in self._gaz_index.values():
             candidates.sort(key=len, reverse=True)
-        self._lemmas: dict[str, str | None] = {}
-        # _strip_to_verb never tries a candidate more than 4 characters
-        # shorter than the word, so a longer word than this is never a verb.
-        self._longest_verb_word = max(map(len, self.verbs)) + 4 if self.verbs else 0
+        self._chunks: dict[str, _Tokens] = {}
+        self._load = 0  # tokens of the chunks tokenized since the memo started over
 
-    def _strip_to_verb(self, w: str) -> str | None:
+    def verb_lemma(self, w: str) -> str | None:
+        """The verb-list entry a lowercase word maps to, trying -s/-ed/-ing
+        stripping; None when nothing matches."""
         if w in self.verbs:
             return w
         candidates = []
@@ -272,18 +169,55 @@ class RuleTagger:
                 return candidate
         return None
 
-    def verb_lemma(self, w: str) -> str | None:
-        """The verb-list entry a lowercase word maps to, trying -s/-ed/-ing
-        stripping; None when nothing matches.  Cached, except for words too
-        long to be a verb."""
-        lemma = self._lemmas.get(w, _UNSEEN)
-        if lemma is _UNSEEN:
-            if len(w) > self._longest_verb_word:
-                return None
-            if len(self._lemmas) >= LEMMA_CACHE_SIZE:
-                self._lemmas.clear()
-            lemma = self._lemmas[w] = self._strip_to_verb(w)
-        return lemma
+    def _tokenize(self, chunk: str) -> _Tokens:
+        entries = []
+        for match in _TOKEN_RE.finditer(chunk):
+            surface = match.group()
+            kind = match.lastgroup
+            if kind == WORD:
+                word = surface.lower()
+                entries.append((surface, kind, word, None, self.verb_lemma(word)))
+            else:
+                entries.append((surface, kind, None,
+                                surface[1:].lower() if kind == HASHTAG else None, None))
+        return tuple(entries)
+
+    def _scan(self, text: str) -> tuple[list[str], list[str], list[str | None], list[str],
+                                         list[str | None]]:
+        """Token surfaces, kinds, and lowercased words (None for non-word
+        tokens) as parallel lists, the hashtag terms in order, and each
+        token's verb lemma (None for a non-word or a word with no lemma).
+
+        No token contains whitespace and every other character starts one, so a
+        text's tokens are its whitespace-separated chunks' tokens in order
+        (``str.split`` and the regex ``\\s`` agree on every code point).  Each
+        distinct chunk is matched against ``_TOKEN_RE`` and its words'
+        lemmas found once, then looked up in the memo (see
+        CHUNK_CACHE_TOKENS)."""
+        memo = self._chunks
+        surfaces: list[str] = []
+        kinds: list[str] = []
+        words: list[str | None] = []
+        hashtags: list[str] = []
+        lemmas: list[str | None] = []
+        for chunk in text.split():
+            entries = memo.get(chunk)
+            if entries is None:
+                entries = self._tokenize(chunk)
+                self._load += len(entries)
+                if self._load > CHUNK_CACHE_TOKENS:
+                    memo.clear()
+                    self._load = len(entries)
+                if len(chunk) <= CHUNK_MAX_LEN and self._load <= CHUNK_CACHE_TOKENS:
+                    memo[chunk] = entries
+            for surface, kind, word, hashtag, lemma in entries:
+                surfaces.append(surface)
+                kinds.append(kind)
+                words.append(word)
+                lemmas.append(lemma)
+                if hashtag is not None:
+                    hashtags.append(hashtag)
+        return surfaces, kinds, words, hashtags, lemmas
 
 
 def _terms(
@@ -307,11 +241,10 @@ def _terms(
     first came up.  Hashtags are kept verbatim (sans '#') and never
     stopword-filtered.
     """
-    surfaces, kinds, words, hashtags = _scan(text)
+    surfaces, kinds, words, hashtags, word_lemmas = tagger._scan(text)
     gaz_index = tagger._gaz_index
     # Most texts hold no phrase's first word, and then no word is looked up.
     gaz_lookup = not gaz_index.keys().isdisjoint(words)
-    verb_lemma = tagger.verb_lemma
     phrases: list[str] = []
     lemmas: list[str] = []
     run: list[str] = []
@@ -339,7 +272,7 @@ def _terms(
             if run:
                 phrases.append(" ".join(run))
                 run = []
-            lemma = verb_lemma(word)
+            lemma = word_lemmas[i]
             if lemma and lemma not in stopwords:
                 lemmas.append(lemma)
         sentence_start = False

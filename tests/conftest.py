@@ -15,6 +15,7 @@ from outcry import (
 )
 
 BASE_TIME = datetime(2024, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
+_SCAN_TAGGER = RuleTagger()
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,11 @@ def extractor(lexicon, tagger, stopwords):
 @pytest.fixture(scope="session")
 def allowlist():
     return AllowList.load()
+
+
+def scan(text):
+    """``RuleTagger._scan`` of ``text`` by one tagger with the bundled data."""
+    return _SCAN_TAGGER._scan(text)
 
 
 def make_tweet(posting_id="t1", text="hello", ts=BASE_TIME, language="en",

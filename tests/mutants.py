@@ -111,6 +111,20 @@ MUTANTS = (
            "multiplier *= intensifiers.get(prev, 1.0)", "multiplier = intensifiers.get(prev, 1.0)",
            ("tests/test_features.py::TestScoreSentiment::"
             "test_intensifiers_in_the_window_multiply",)),
+    # -- the tagger's chunk memo (RuleTagger._scan) --------------------------
+    Mutant("the chunk memo never starts over", "features.py",
+           "                    memo.clear()\n", "",
+           ("tests/test_feature_oracle.py::test_scan_through_a_small_cache_matches_oracle",
+            "tests/test_features.py::TestLemmaCache::test_bounded_cache_gives_same_lemmas")),
+    Mutant("a chunk longer than CHUNK_MAX_LEN is kept", "features.py",
+           "if len(chunk) <= CHUNK_MAX_LEN and self._load <= CHUNK_CACHE_TOKENS:",
+           "if self._load <= CHUNK_CACHE_TOKENS:",
+           ("tests/test_feature_oracle.py::test_long_chunks_are_not_kept",
+            "tests/test_features.py::TestLemmaCache::test_word_too_long_to_be_a_verb_is_not_cached")),
+    Mutant("one chunk memo shared by all taggers", "features.py",
+           "self._chunks: dict[str, _Tokens] = {}",
+           'self._chunks: dict[str, _Tokens] = globals().setdefault("_shared_memo", {})',
+           ("tests/test_features.py::TestLemmaCache::test_taggers_keep_their_own_lemmas",)),
     # -- report, evaluate and market ----------------------------------------
     Mutant("daily summary ties go to the highest id", "pipeline.py",
            "(-pair[0], pair[1].cluster_id)", "(-pair[0], -pair[1].cluster_id)",
@@ -143,6 +157,9 @@ MUTANTS = (
     Mutant("an empty cluster list closed like a full one", "clustering.py",
            r'("\n ]" if self.clusters else "]")', r'"\n ]"',
            (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
+    Mutant("member_ids not checked against per_day_counts", "clustering.py",
+           "            if cluster.member_count != days:\n", "            if False:\n",
+           (EVAL + "test_checkpoint_not_as_written_exits_2",)),
     Mutant("member_ids read as they are", "clustering.py",
            '"member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),',
            '"member_ids": ("_member_text", _ids, _ids_text),',

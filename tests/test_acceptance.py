@@ -34,9 +34,9 @@ from outcry import (
     run_detection,
 )
 from outcry.cli import main
-from outcry.features import SentimentLexicon, _scan, _sentiment
+from outcry.features import SentimentLexicon, _sentiment
 
-from conftest import BASE_TIME, make_vector
+from conftest import BASE_TIME, make_vector, scan
 from reference import ReferenceClusterer, batch_centroid
 from test_controversy import TODAY, build_cluster, flat_volume, spiking_volume
 from test_market import calibrated_returns
@@ -177,7 +177,7 @@ def test_criterion_4_sentiment_bounds_and_event_mean():
         )
         for _ in range(2000):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randrange(0, 14)))
-            score = _sentiment(_scan(text)[2], lexicon)
+            score = _sentiment(scan(text)[2], lexicon)
             assert -2.0 <= score <= 2.0
 
         for _ in range(300):

@@ -404,7 +404,8 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry",
                                        "report too deep", "state too deep", "truth too deep",
-                                       "controversial no", "cluster_id string", "events object"])
+                                       "controversial no", "cluster_id string", "events object",
+                                       "events missing"])
     def test_wrong_json_shape_exits_2(self, tmp_path, capsys, wrong):
         stream = tmp_path / "in.jsonl"
         stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
@@ -418,6 +419,7 @@ class TestEvaluateCommand:
             "controversial no": {"events": [{"cluster_id": 1, "controversial": "no"}]},
             "cluster_id string": {"events": [{"cluster_id": "1", "controversial": True}]},
             "events object": {"events": {}},
+            "events missing": {"schema_version": 1},
         }
         if wrong in reports:
             paths["report"].write_text(json.dumps(reports[wrong]))
@@ -470,7 +472,8 @@ class TestEvaluateCommand:
     # checkpoint); each one gives a file that ``detect --state-out`` does not write.
     CHECKPOINT_EDITS = {
         "member_ids string": lambda doc, c: c.update(member_ids=c["member_ids"][0]),
-        "member_ids ints": lambda doc, c: c.update(member_ids=[1, 2]),
+        "member_ids ints": lambda doc, c: c.update(member_ids=list(range(len(c["member_ids"])))),
+        "member_ids one short": lambda doc, c: c.update(member_ids=c["member_ids"][1:]),
         "true sentiment": lambda doc, c: c.update(
             sentiment_partials=[True] + c["sentiment_partials"][1:]),
         "cluster_id true": lambda doc, c: c.update(cluster_id=True),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outcry import FeatureExtractor, RuleTagger, features, load_gazetteer, load_verb_list
-from outcry.features import CHUNK_MAX_LEN, HASHTAG, WORD, _scan, _scan_text, _sentiment
+from outcry.features import CHUNK_MAX_LEN, HASHTAG, WORD, _sentiment
 
 from conftest import make_tweet
 from reference import ReferenceExtractor, reference_tokenize
@@ -56,8 +56,8 @@ texts = st.one_of(
 # Whitespace beyond space, tab and newline that str.split and the regex \s
 # both split on.
 UNICODE_SPACES = ["\x1c", "\xa0", "\u2028", "\u3000"]
-# A few chunks repeated with ASCII and Unicode separators, so the scanner's
-# chunk cache is hit within a text and across texts.
+# A few chunks repeated with ASCII and Unicode separators, so the tagger's
+# chunk memo is hit within a text and across texts.
 repeated_chunk_texts = st.lists(_piece, min_size=1, max_size=4).flatmap(
     lambda chunks: st.lists(
         st.tuples(st.sampled_from(chunks), st.sampled_from(UNICODE_SPACES + [" ", "\t"])),
@@ -82,41 +82,37 @@ GAZETTEERS = {
                                ("square", "garden", "party")),
 }
 _TAGGERS = {name: RuleTagger(_DATA[0], gazetteer) for name, gazetteer in GAZETTEERS.items()}
+_scan = _TAGGERS["shipped"]._scan
+_ORACLE_LEMMAS = ReferenceExtractor(*_DATA, frozenset(), None)
 
 
 def assert_scans_like_oracle(text, scanned):
-    surfaces, kinds, words, hashtags = scanned
+    surfaces, kinds, words, hashtags, lemmas = scanned
     assert [(s, i, k) for i, (s, k) in enumerate(zip(surfaces, kinds))] == [
         tuple(t) for t in reference_tokenize(text)]
     assert words == [s.lower() if k == WORD else None for s, k in zip(surfaces, kinds)]
     assert hashtags == [s[1:].lower() for s, k in zip(surfaces, kinds) if k == HASHTAG]
-
-
-def small_chunk_cache(tokens, bypass_texts):
-    """A fresh chunk cache of ``tokens`` tokens that steps aside for
-    ``bypass_texts`` texts, in place of the module's for the ``with`` block."""
-    return mock.patch.multiple(
-        features, CHUNK_CACHE_TOKENS=tokens, CHUNK_BYPASS_TEXTS=bypass_texts,
-        _chunk_cache=features._ChunkCache())
+    assert lemmas == [w and _ORACLE_LEMMAS.verb_lemma(w) for w in words]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=st.one_of(texts, repeated_chunk_texts))
 def test_tokenize_matches_oracle(text):
     assert_scans_like_oracle(text, _scan(text))
-    assert_scans_like_oracle(text, _scan_text(text))
+    assert_scans_like_oracle(text, RuleTagger(*_DATA)._scan(text))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stream=st.lists(st.one_of(texts, repeated_chunk_texts), max_size=12),
-       tokens=st.integers(1, 12), bypass_texts=st.integers(0, 3))
-def test_scan_through_a_small_cache_matches_oracle(stream, tokens, bypass_texts):
-    # Restarts, bypassed texts and chunks too long to keep all come up; none
-    # changes a result, and the cache never holds more than its tokens.
-    with small_chunk_cache(tokens, bypass_texts):
+       tokens=st.integers(1, 12))
+def test_scan_through_a_small_cache_matches_oracle(stream, tokens):
+    # Restarts and chunks too long to keep both come up; neither changes a
+    # result, and the memo never holds more than its tokens.
+    tagger = RuleTagger(*_DATA)
+    with mock.patch.object(features, "CHUNK_CACHE_TOKENS", tokens):
         for text in stream:
-            assert_scans_like_oracle(text, _scan(text))
-            held = features._chunk_cache.tokens
+            assert_scans_like_oracle(text, tagger._scan(text))
+            held = tagger._chunks
             assert sum(map(len, held.values())) <= tokens
             assert all(len(chunk) <= CHUNK_MAX_LEN for chunk in held)
 
@@ -133,29 +129,11 @@ def test_long_chunks_are_not_kept():
     long_word = "w" * (CHUNK_MAX_LEN + 1)
     dotted = ".".join("a" * 140)  # 279 characters, 279 tokens
     text = f"short {long_word} {dotted} {'x' * CHUNK_MAX_LEN}"
-    with small_chunk_cache(1 << 14, 0):
-        assert _scan(text) == _scan_text(text)
-        assert _scan(text) == _scan_text(text)
-        assert set(features._chunk_cache.tokens) == {"short", "x" * CHUNK_MAX_LEN}
-
-
-def test_cache_steps_aside_when_it_finds_too_few_chunks():
-    with small_chunk_cache(4, 2):
-        cache = features._chunk_cache
-        # 20 chunks, 5 of them distinct: the fifth miss starts the cache over,
-        # and 16 of 20 chunks were found, 4 in 5, so it stays in use.
-        for text in ("a " * 16, "b c d e"):
-            assert _scan(text) == _scan_text(text)
-        assert (cache.bypass, set(cache.tokens)) == (0, {"e"})
-        # Four new chunks: "j" starts the cache over, none of them found.
-        assert _scan("f g h j") == _scan_text("f g h j")
-        assert (cache.bypass, set(cache.tokens)) == (2, {"j"})
-        # The next two texts are scanned whole, past the cache.
-        for text in ("k l", "m #n"):
-            assert _scan(text) == _scan_text(text)
-        assert (cache.bypass, set(cache.tokens)) == (0, {"j"})
-        assert _scan("j o") == _scan_text("j o")
-        assert set(cache.tokens) == {"j", "o"}
+    tagger = RuleTagger(*_DATA)
+    first = tagger._scan(text)
+    assert tagger._scan(text) == first
+    assert_scans_like_oracle(text, first)
+    assert set(tagger._chunks) == {"short", "x" * CHUNK_MAX_LEN}
 
 
 def test_scan_returns_fresh_lists():
@@ -166,7 +144,7 @@ def test_scan_returns_fresh_lists():
         scanned.append("extra")
     assert _scan(text) == expected == (
         ["#Tag", "word", "#tag", "word"], [HASHTAG, WORD, HASHTAG, WORD],
-        [None, "word", None, "word"], ["tag", "tag"])
+        [None, "word", None, "word"], ["tag", "tag"], [None, None, None, None])
 
 
 @settings(max_examples=800, deadline=None, derandomize=True)

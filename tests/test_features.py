@@ -4,13 +4,13 @@ import random
 import pytest
 
 from outcry import FeatureExtractor, RuleTagger, SentimentLexicon, TweetVector
-from outcry.features import HASHTAG, PUNCT, URL, WORD, _scan, _sentiment
+from outcry.features import HASHTAG, PUNCT, URL, WORD, _sentiment
 
-from conftest import make_tweet
+from conftest import make_tweet, scan
 
 
 def tokens(text):
-    surfaces, kinds, _, _ = _scan(text)
+    surfaces, kinds = scan(text)[:2]
     return list(zip(surfaces, kinds))
 
 
@@ -21,12 +21,12 @@ def terms(extractor, text):
 
 
 def score(text, lexicon):
-    return _sentiment(_scan(text)[2], lexicon)
+    return _sentiment(scan(text)[2], lexicon)
 
 
 class TestTokenize:
     def test_empty_text(self):
-        assert _scan("") == ([], [], [], [])
+        assert scan("") == ([], [], [], [], [])
 
     def test_hashtag_and_punctuation(self):
         assert tokens("Boycott #Starbucks now!") == [
@@ -35,7 +35,7 @@ class TestTokenize:
             ("now", WORD),
             ("!", PUNCT),
         ]
-        assert _scan("Boycott #Starbucks now!")[3] == ["starbucks"]
+        assert scan("Boycott #Starbucks now!")[3] == ["starbucks"]
 
     def test_url_stays_single_token(self):
         assert tokens("see https://nyti.ms/x") == [
@@ -60,7 +60,7 @@ class TestTokenize:
 
     def test_deterministic(self):
         text = "Acme Closed 12 stores!! #acme https://a.example/x"
-        assert _scan(text) == _scan(text)
+        assert scan(text) == scan(text)
 
 
 class TestTagPos:
@@ -291,31 +291,42 @@ class TestBuildTweetVector:
 
 
 class TestLemmaCache:
-    def test_bounded_cache_gives_same_lemmas(self, tagger, monkeypatch):
+    def test_bounded_cache_gives_same_lemmas(self, monkeypatch):
         from outcry import features
-        words = ["arrested", "closing", "zzz", "studies", "arrested", "zzz", "closes"]
-        expected = [tagger.verb_lemma(w) for w in words]
+        text = "arrested closing zzz studies arrested zzz closes"
+        expected = scan(text)[4]
         assert expected[0] is not None and expected[2] is None
-        monkeypatch.setattr(features, "LEMMA_CACHE_SIZE", 2)
+        monkeypatch.setattr(features, "CHUNK_CACHE_TOKENS", 2)
         small = RuleTagger()
-        assert [small.verb_lemma(w) for w in words] == expected
-        assert len(small._lemmas) <= 2
+        assert small._scan(text)[4] == expected
+        assert sum(map(len, small._chunks.values())) <= 2
 
     def test_word_too_long_to_be_a_verb_is_not_cached(self):
+        from outcry.features import CHUNK_MAX_LEN
         fx = FeatureExtractor()
-        longest_verb = max(map(len, fx.tagger.verbs))
         fx.vector(make_tweet(text="Acme " + "a" * 1_000_000 + " arrested"))
-        assert max(map(len, fx.tagger._lemmas)) <= longest_verb + 4
-        assert "arrested" in fx.tagger._lemmas
+        assert max(map(len, fx.tagger._chunks)) <= CHUNK_MAX_LEN
+        assert "arrested" in fx.tagger._chunks
 
     def test_longest_word_that_can_be_a_verb_is_still_stripped(self):
         # stopp(ing) drops four characters, the most any suffix rule drops
         tagger = RuleTagger(verbs=frozenset({"stop"}), gazetteer=())
         assert tagger.verb_lemma("stopping") == "stop"
         assert tagger.verb_lemma("stoppingx") is None
-        assert list(tagger._lemmas) == ["stopping"]
+        assert tagger._scan("stopping stoppingx")[4] == ["stop", None]
 
     def test_empty_verb_list_caches_nothing(self):
         tagger = RuleTagger(verbs=frozenset(), gazetteer=())
         assert tagger.verb_lemma("arrested") is None
-        assert tagger._lemmas == {}
+        assert tagger._scan("arrested")[4] == [None]
+
+    def test_taggers_keep_their_own_lemmas(self, lexicon, stopwords):
+        # Two verb lists fed the same text in turn: each tagger's memo holds
+        # its own lemmas, so neither sees the other's.
+        arrest, none = (FeatureExtractor(lexicon=lexicon, stopwords=stopwords,
+                                         tagger=RuleTagger(verbs=verbs, gazetteer=()))
+                        for verbs in (frozenset({"arrest"}), frozenset()))
+        tweet = make_tweet(text="police arrested the man #acme")
+        for _ in range(2):
+            assert dict(arrest.vector(tweet).terms) == {"arrest": 1, "acme": 1}
+            assert dict(none.vector(tweet).terms) == {"acme": 1}
