@@ -31,6 +31,10 @@ CREATED = "created"
 
 CHECKPOINT_VERSION = 2
 
+# The links of every cluster that has none: most clusters never get a link,
+# so each starts with this one object and gets its own set at its first link.
+_NO_LINKS: frozenset[str] = frozenset()
+
 
 class DegenerateVector(ValueError):
     """A vector (or centroid) with zero norm cannot be compared."""
@@ -101,7 +105,7 @@ class EventCluster:
         self.member_count = 0
         self._member_text = bytearray()
         self.sentiment_partials: list[float] = []
-        self.links: set[str] = set()
+        self.links: set[str] | frozenset[str] = _NO_LINKS
         self.per_day_counts: dict[date, int] = {}
         self.per_day_sentiment: dict[date, float] = {}
         self.created_at = vector.timestamp
@@ -161,7 +165,11 @@ class EventCluster:
                 i += 1
             x = hi
         partials[i:] = [x]
-        self.links.update(vector.links)
+        if vector.links:
+            if self.links is _NO_LINKS:
+                self.links = set(vector.links)
+            else:
+                self.links.update(vector.links)
         day = vector.day
         self.per_day_counts[day] = self.per_day_counts.get(day, 0) + 1
         self.per_day_sentiment[day] = self.per_day_sentiment.get(day, 0.0) + vector.sentiment
@@ -376,7 +384,7 @@ _CLUSTER_FIELDS = {
     "norm_sq": ("_norm_sq", _same, float),
     "member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),
     "sentiment_partials": ("sentiment_partials", _same, lambda v: [float(s) for s in v]),
-    "links": ("links", sorted, lambda v: {str(u) for u in v}),
+    "links": ("links", sorted, lambda v: {str(u) for u in v} or _NO_LINKS),
     "per_day_counts": ("per_day_counts", _by_day,
                        lambda v: {date.fromisoformat(d): int(n) for d, n in v.items()}),
     "per_day_sentiment": ("per_day_sentiment", _by_day,

@@ -334,7 +334,11 @@ class TweetVector(NamedTuple):
 class FeatureExtractor:
     """Bundles tagger, lexicon, stopword, and redirect resources so the
     pipeline can turn tweets into vectors without re-loading data files.
-    Resources left out are loaded from the bundled data files."""
+    Resources left out are loaded from the bundled data files.
+
+    Vectors of one day share one ``date`` object: the extractor keeps the
+    last day it built and hands it out again while the tweets' days equal it,
+    so the clusters' per-day keys hold one object per day, not one each."""
 
     def __init__(
         self,
@@ -347,6 +351,7 @@ class FeatureExtractor:
         self.tagger = tagger or RuleTagger()
         self.stopwords = stopwords if stopwords is not None else load_stopwords()
         self.redirects = redirects
+        self._day: date | None = None
 
     def vector(self, tweet: Tweet) -> TweetVector | None:
         """Assemble a TweetVector; returns None (discard) when no terms survive.
@@ -365,5 +370,8 @@ class FeatureExtractor:
             except (credibility.BadUrl, credibility.RedirectCycle):
                 continue
         creation_time = tweet.creation_time
+        day = creation_time.date()
+        if day != self._day:
+            self._day = day
         return TweetVector(tweet.posting_id, creation_time, terms, sentiment,
-                           frozenset(links), creation_time.date())
+                           frozenset(links), self._day)

@@ -57,7 +57,9 @@ def build_extractor(cfg: RunConfig) -> FeatureExtractor:
 
 class Detector:
     """One detection run.  ``feed`` it the replayed tweets in time order, then
-    call ``finish``; the finished detector is the run's result.
+    call ``finish``; the finished detector is the run's result.  ``finish``
+    lets go of the feature extractor (and with it the tagger's chunk memo),
+    so a finished detector takes no more tweets.
 
     Feature extraction is pure per tweet; cluster assignment is the single
     serialized step, matching the single-writer contract of ClusterState.
@@ -85,10 +87,13 @@ class Detector:
 
     def feed(self, tweet: Tweet) -> None:
         """Take the next tweet; tweets come in nondecreasing time order."""
+        extractor = self.extractor
+        if extractor is None:
+            raise RuntimeError("the detector is finished")
         if self._language and not tweet.language.lower().startswith(self._language):
             self.counters["skipped_language"] += 1
             return
-        vector = self.extractor.vector(tweet)
+        vector = extractor.vector(tweet)
         if vector is None:
             self.counters["discarded_empty"] += 1
             return
@@ -102,7 +107,9 @@ class Detector:
 
     def finish(self) -> Detector:
         """Score the candidate events on the last day and build the per-day
-        summaries."""
+        summaries.  The extractor is dropped first: the report needs none of
+        it."""
+        self.extractor = None
         if self.today is not None:
             self.reports = classify_and_rank(self.state.candidate_events(), self.volume,
                                              self.allowlist, self.params, self.today)
@@ -162,11 +169,13 @@ def report_payload(result: Detector, cfg: RunConfig) -> dict:
     """Deterministic report document: stable key order, floats at six
     decimal places, no wall-clock fields.  I/O paths are left out of the
     params echo so equal runs stay byte-identical wherever they are written.
+    Each part that holds floats is rounded as it is built, so no unrounded
+    copy of the whole document is held beside the rounded one.
     """
     params = {k: v for k, v in cfg.as_dict().items() if k not in _VOLATILE_PARAMS}
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
-        "params": params,
+        "params": _round_floats(params),
         "counters": {
             **result.replay_stats.as_dict(),
             **result.counters,
@@ -177,7 +186,6 @@ def report_payload(result: Detector, cfg: RunConfig) -> dict:
         },
         "today": result.today.isoformat() if result.today else None,
         "volume": {d.isoformat(): n for d, n in sorted(result.volume.items())},
-        "events": [r._asdict() for r in result.reports],
-        "daily_summaries": result.daily_summaries,
+        "events": [_round_floats(r._asdict()) for r in result.reports],
+        "daily_summaries": _round_floats(result.daily_summaries),
     }
-    return _round_floats(payload)

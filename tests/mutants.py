@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 CTRL = "tests/test_controversy.py::"
 CLUS = "tests/test_clustering.py::"
 EVAL = "tests/test_cli.py::TestEvaluateCommand::"
+DETECT = "tests/test_cli.py::TestDetector::"
 
 MUTANTS = (
     # -- the gate and rank (README "Controversy gate") ----------------------
@@ -95,6 +96,24 @@ MUTANTS = (
            "        if self._language and not tweet.language.lower()",
            ("tests/test_cli.py::TestPipelineCounters::"
             "test_day_closes_at_first_admitted_vector_of_a_later_day",)),
+    # -- what a run holds at its peak (see README "Peak memory") ------------
+    Mutant("a finished detector keeps its extractor", "pipeline.py",
+           "        self.extractor = None\n", "",
+           (DETECT + "test_finish_lets_go_of_the_tagger",
+            DETECT + "test_a_finished_detector_takes_no_more_tweets")),
+    Mutant("each vector gets its own day object", "features.py",
+           "frozenset(links), self._day)", "frozenset(links), day)",
+           ("tests/test_features.py::TestBuildTweetVector::"
+            "test_vectors_of_one_day_share_its_date_object",)),
+    Mutant("a linkless cluster gets its own empty set", "clustering.py",
+           "self.links: set[str] | frozenset[str] = _NO_LINKS",
+           "self.links: set[str] | frozenset[str] = set()",
+           (CLUS + "TestLinks::test_linkless_clusters_share_one_empty_links_object",
+            CLUS + "TestLinks::test_a_linkless_singleton_on_one_day_costs_no_links_set")),
+    Mutant("daily summaries left unrounded", "pipeline.py",
+           '"daily_summaries": _round_floats(result.daily_summaries),',
+           '"daily_summaries": result.daily_summaries,',
+           (DETECT + "test_report_is_rounded_in_every_part",)),
     # -- replay --------------------------------------------------------------
     Mutant("a record exactly at the watermark is held", "ingest.py",
            "heap[0][0] <= watermark:", "heap[0][0] < watermark:",

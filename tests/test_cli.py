@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
 import threading
+import weakref
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -12,7 +14,9 @@ import pytest
 import outcry
 from outcry import ClusterState, GroundTruth, InvalidConfig, RunConfig, ingest, run_detection
 from outcry.cli import main
+from outcry.pipeline import Detector, _round_floats, report_payload
 
+from conftest import make_tweet
 from test_market import calibrated_returns
 
 SCENARIO = {
@@ -578,6 +582,36 @@ class TestPipelineCounters:
         assert result.state.admitted == 2
         assert result.state.expired_clusters == 1
         assert len(result.state.clusters) == 1
+
+
+class TestDetector:
+    def test_finish_lets_go_of_the_tagger(self):
+        detector = Detector(RunConfig(phrases=["acmecorp"]))
+        detector.feed(make_tweet("a", text="AcmeCorp: Riverside outage"))
+        tagger = weakref.ref(detector.extractor.tagger)
+        assert tagger() is not None
+        detector.finish()
+        assert detector.extractor is None and tagger() is None
+
+    @pytest.mark.parametrize("language", ["en", "fr"])
+    def test_a_finished_detector_takes_no_more_tweets(self, language):
+        detector = Detector(RunConfig(phrases=["acmecorp"], language_filter="en"))
+        detector.finish()
+        tweet = make_tweet("b", text="AcmeCorp: Riverside fire", language=language)
+        with pytest.raises(RuntimeError, match="the detector is finished"):
+            detector.feed(tweet)
+        assert detector.state.admitted == 0 and detector.counters["skipped_language"] == 0
+
+    def test_report_is_rounded_in_every_part(self):
+        lines, _ = outcry.generate(outcry.ScenarioConfig.from_dict(SCENARIO))
+        cfg = RunConfig(phrases=["acmecorp"])
+        result = run_detection(io.StringIO("\n".join(lines)), cfg)
+        # Both parts hold floats that rounding changes, so each must be rounded.
+        assert any(r.sentiment_mean != round(r.sentiment_mean, 6) for r in result.reports)
+        assert any(e["mean_sentiment"] != round(e["mean_sentiment"], 6)
+                   for day in result.daily_summaries for e in day["clusters"])
+        payload = report_payload(result, cfg)
+        assert payload == _round_floats(payload)
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,12 +1,13 @@
 import inspect
 import random
+from datetime import timedelta
 
 import pytest
 
 from outcry import FeatureExtractor, RuleTagger, SentimentLexicon, TweetVector
 from outcry.features import HASHTAG, PUNCT, URL, WORD, _sentiment
 
-from conftest import make_tweet, scan
+from conftest import BASE_TIME, make_tweet, scan
 
 
 def tokens(text):
@@ -278,6 +279,13 @@ class TestBuildTweetVector:
     def test_unnormalizable_urls_skipped(self, extractor):
         tweet = make_tweet(text="Acme Riverside news", urls=["ftp://files.example/x"])
         assert extractor.vector(tweet).links == frozenset()
+
+    def test_vectors_of_one_day_share_its_date_object(self, lexicon, tagger, stopwords):
+        fx = FeatureExtractor(lexicon=lexicon, tagger=tagger, stopwords=stopwords)
+        days = [fx.vector(make_tweet(text="Acme arrested", ts=BASE_TIME + timedelta(hours=h))).day
+                for h in (0, 6, 24, 30)]
+        assert days[0] is days[1] and days[2] is days[3]
+        assert days[2] == days[0] + timedelta(days=1)
 
     def test_record_contract(self, extractor):
         assert list(inspect.signature(TweetVector).parameters) == [
