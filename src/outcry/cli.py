@@ -25,7 +25,15 @@ from .market import (
     return_histogram,
     return_stats,
 )
-from .pipeline import SCHEMA_VERSION, DataFileError, _round_floats, report_payload, run_detection
+from .pipeline import (
+    SCHEMA_VERSION,
+    DataFileError,
+    _round_floats,
+    report_counters,
+    report_payload,
+    run_detection,
+    write_report,
+)
 from .synth import GroundTruth, ScenarioConfig, evaluate, generate
 from .ingest import SourceUnavailable
 
@@ -127,13 +135,13 @@ def cmd_detect(args) -> int:
     except (SourceUnavailable, DataFileError) as exc:
         _fail(str(exc))
         return EXIT_INPUT
-    payload = report_payload(result, cfg)
     _log(args.verbose, "detect_done",
-         counters=payload["counters"], events=len(payload["events"]))
+         counters=report_counters(result), events=len(result.reports))
     if cfg.format == "json":
-        written = _write_json(payload, cfg.out)
+        written = _write_output(lambda handle: write_report(result, cfg, handle), cfg.out)
     else:
-        written = _write_output(lambda handle: handle.write(_events_table(payload)), cfg.out)
+        written = _write_output(
+            lambda handle: handle.write(_events_table(report_payload(result, cfg))), cfg.out)
     if not written:
         return EXIT_INPUT
     if cfg.state_out:

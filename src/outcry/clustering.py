@@ -10,9 +10,11 @@ clusters that actually share vocabulary -- disjoint clusters sit at distance
 
 The index is weighted: it maps each term to ``{cluster id: that cluster's
 running sum for the term}``, so a dot product is summed straight from the
-postings.  Each weight is the same float as the cluster's term sum, added up
-in the same term order, so every distance is bit-identical to one computed
-from the sums.  The closest cluster is picked in one pass, ties to the lowest
+postings.  The index is the only store of the sums: each weight is the
+cluster's term sum, and a cluster keeps just its terms and a reference to the
+index.  A sum is the exact ``int`` its counts add up to (an integer below
+2**53, so every product, norm and distance is bit-identical to one computed
+in floats).  The closest cluster is picked in one pass, ties to the lowest
 id, without sorting.
 """
 
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from datetime import date, datetime, timedelta
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -81,9 +85,14 @@ class ClusterParams:
 class EventCluster:
     """A group of tweet vectors summarized by running term sums.
 
-    ``centroid`` (mean term weights) is derived from the sums on demand;
-    ``norm`` is the L2 norm of the sums, set once per member from the squared
-    norm, which is maintained incrementally.
+    The sums live in the weighted term index, ``{term: {cluster id: sum}}``:
+    the cluster keeps its terms in first-seen order and a reference to the
+    index, which is its ``ClusterState``'s, or a private one for a cluster
+    built on its own.  ``term_sums`` and ``centroid`` (mean term weights) are
+    views built from the index on demand (an expired cluster has left the
+    index, and its sums with it).  ``norm`` is the L2 norm of the sums, set
+    once per member from the squared norm, which is maintained
+    incrementally.
 
     Member ids are kept in one buffer, each as its JSON text (ASCII, with no
     raw newline) followed by a newline: about 17 bytes a member where a
@@ -93,15 +102,16 @@ class EventCluster:
     """
 
     __slots__ = (
-        "cluster_id", "term_sums", "member_count", "_member_text", "sentiment_partials",
+        "cluster_id", "_terms", "_index", "member_count", "_member_text", "sentiment_partials",
         "links", "per_day_counts", "per_day_sentiment", "created_at", "last_updated",
         "_norm_sq", "norm",
     )
 
     def __init__(self, cluster_id: int, vector: TweetVector,
-                 index: dict[str, dict[int, float]] | None = None):
+                 index: dict[str, dict[int, int]] | None = None):
         self.cluster_id = cluster_id
-        self.term_sums: dict[str, float] = {}
+        self._terms: list[str] = []
+        self._index = {} if index is None else index
         self.member_count = 0
         self._member_text = bytearray()
         self.sentiment_partials: list[float] = []
@@ -111,7 +121,7 @@ class EventCluster:
         self.created_at = vector.timestamp
         self.last_updated = vector.timestamp
         self._norm_sq = 0.0
-        self.add(vector, index)
+        self.add(vector)
 
     @property
     def member_ids(self) -> list[str]:
@@ -119,28 +129,44 @@ class EventCluster:
         return _ids(self._member_text)
 
     @property
+    def term_sums(self) -> dict[str, int]:
+        """Each term's running sum, in first-seen order, read from the index."""
+        index, cid = self._index, self.cluster_id
+        return {term: index[term][cid] for term in self._terms}
+
+    def _load_sums(self, sums: dict[str, int]) -> None:
+        # For a cluster being loaded, which has no postings yet.
+        self._terms = list(sums)
+        index, cid = self._index, self.cluster_id
+        for term, weight in sums.items():
+            index.setdefault(term, {})[cid] = weight
+
+    # The checkpoint's "term_sums": read as ``term_sums``, set only by ``load``.
+    _sums = property(term_sums.fget, _load_sums)
+
+    @property
     def centroid(self) -> dict[str, float]:
         n = self.member_count
         return {term: weight / n for term, weight in self.term_sums.items()}
 
-    def add(self, vector: TweetVector,
-            index: dict[str, dict[int, float]] | None = None) -> None:
-        """Add a member; ``index`` is the weighted term index whose postings
-        for this cluster are kept equal to its term sums."""
-        if index is None:
-            index = {}
+    def add(self, vector: TweetVector) -> None:
+        """Add a member: its counts go into the cluster's postings."""
+        index = self._index
         cid = self.cluster_id
-        sums = self.term_sums
         norm_sq = self._norm_sq
         for term, count in vector.terms.items():
-            old = sums.get(term, 0.0)
-            norm_sq += count * (2.0 * old + count)
-            new = sums[term] = old + count
             postings = index.get(term)
             if postings is None:
-                index[term] = {cid: new}
+                index[term] = {cid: count}
+                old = 0
+                self._terms.append(term)
             else:
-                postings[cid] = new
+                old = postings.get(cid)
+                if old is None:
+                    old = 0
+                    self._terms.append(term)
+                postings[cid] = old + count
+            norm_sq += count * (2.0 * old + count)
         self._norm_sq = norm_sq
         self.norm = math.sqrt(norm_sq)
         # As ``load`` reads them back, so a vector built with an int id or
@@ -196,7 +222,7 @@ class ClusterState:
         self.expired_clusters = 0
         self.expired_members = 0
         # term -> {cluster id: that cluster's running sum for the term}
-        self._term_index: dict[str, dict[int, float]] = {}
+        self._term_index: dict[str, dict[int, int]] = {}
 
     def assign(self, vector: TweetVector) -> tuple[int, str]:
         """Merge the vector into the closest cluster when its distance is
@@ -231,7 +257,7 @@ class ClusterState:
 
         self.admitted += 1
         if best_id >= 0 and best_dist < self.params.merge_threshold:
-            clusters[best_id].add(vector, index)
+            clusters[best_id].add(vector)
             return best_id, MERGED
 
         cid = self.next_id
@@ -261,7 +287,7 @@ class ClusterState:
             cluster = self.clusters.pop(cid)
             self.expired_clusters += 1
             self.expired_members += cluster.member_count
-            for term in cluster.term_sums:
+            for term in cluster._terms:
                 postings = self._term_index.get(term)
                 if postings is not None:
                     postings.pop(cid, None)
@@ -275,7 +301,7 @@ class ClusterState:
         """The checkpoint document ``save`` writes."""
         return self._document([_entry(c) for _, c in sorted(self.clusters.items())])
 
-    def _document(self, clusters: list) -> dict:
+    def _document(self, clusters) -> dict:
         """The checkpoint document with ``clusters`` as its cluster entries."""
         params = self.params
         return {
@@ -295,18 +321,9 @@ class ClusterState:
 
         The bytes are ``json.dumps(self.payload(), indent=1) + "\n"``, written
         one cluster entry at a time so the whole document is never built."""
-        # "clusters" is the last key, so the document ends "[]\n}".
-        head, tail = json.dumps(self._document([]), indent=1).rsplit("[]", 1)
+        entries = (_entry(c) for _, c in sorted(self.clusters.items()))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(head + "[")
-            separator = "\n  "
-            for _, cluster in sorted(self.clusters.items()):
-                handle.write(separator)
-                # An entry sits two levels deep: indent each of its lines by
-                # two more spaces (JSON strings hold no raw newline).
-                handle.write(json.dumps(_entry(cluster), indent=1).replace("\n", "\n  "))
-                separator = ",\n  "
-            handle.write(("\n ]" if self.clusters else "]") + tail + "\n")
+            stream_json(self._document(entries), handle, indent=1)
 
     @classmethod
     def load(cls, path) -> "ClusterState":
@@ -329,6 +346,7 @@ class ClusterState:
             setattr(state, key, int(payload[key]))
         for entry in payload["clusters"]:
             cluster = EventCluster.__new__(EventCluster)
+            cluster._index = state._term_index
             for key, (slot, _, read) in _CLUSTER_FIELDS.items():
                 setattr(cluster, slot, read(entry[key]))
             cluster.norm = math.sqrt(cluster._norm_sq)
@@ -338,8 +356,6 @@ class ClusterState:
                 raise ValueError(f"cluster {cluster.cluster_id} has {cluster.member_count} "
                                  f"member_ids, but its per_day_counts sum to {days}")
             state.clusters[cluster.cluster_id] = cluster
-            for term, weight in cluster.term_sums.items():
-                state._term_index.setdefault(term, {})[cluster.cluster_id] = weight
         return state
 
 
@@ -371,6 +387,18 @@ def _by_day(per_day: dict) -> dict:
     return {d.isoformat(): v for d, v in sorted(per_day.items())}
 
 
+# The day of an ISO date: the per-day keys of every loaded cluster share one
+# ``date`` object per day, as in a live run.  The memo keeps the last 4,096
+# days read (over 11 years), so it stays small in a long-lived process.
+_day = lru_cache(maxsize=4096)(date.fromisoformat)
+
+
+def _exact(weight) -> int | float:
+    """A term sum as ``add`` keeps it: the ``int`` a whole number is."""
+    weight = float(weight)
+    return int(weight) if weight.is_integer() else weight
+
+
 # The checkpoint's state counters, saved and loaded as integers.
 _COUNTERS = ("next_id", "admitted", "expired_clusters", "expired_members")
 
@@ -380,18 +408,47 @@ _COUNTERS = ("next_id", "admitted", "expired_clusters", "expired_members")
 # ``read_back`` rejects it.
 _CLUSTER_FIELDS = {
     "cluster_id": ("cluster_id", _same, int),
-    "term_sums": ("term_sums", _same, lambda v: {str(t): float(w) for t, w in v.items()}),
+    "term_sums": ("_sums", lambda v: {t: float(w) for t, w in v.items()},
+                  lambda v: {str(t): _exact(w) for t, w in v.items()}),
     "norm_sq": ("_norm_sq", _same, float),
     "member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),
     "sentiment_partials": ("sentiment_partials", _same, lambda v: [float(s) for s in v]),
     "links": ("links", sorted, lambda v: {str(u) for u in v} or _NO_LINKS),
     "per_day_counts": ("per_day_counts", _by_day,
-                       lambda v: {date.fromisoformat(d): int(n) for d, n in v.items()}),
+                       lambda v: {_day(d): int(n) for d, n in v.items()}),
     "per_day_sentiment": ("per_day_sentiment", _by_day,
-                          lambda v: {date.fromisoformat(d): float(s) for d, s in v.items()}),
+                          lambda v: {_day(d): float(s) for d, s in v.items()}),
     "created_at": ("created_at", datetime.isoformat, datetime.fromisoformat),
     "last_updated": ("last_updated", datetime.isoformat, datetime.fromisoformat),
 }
+
+
+def stream_json(document: dict, handle, indent: int, sort_keys: bool = False) -> None:
+    """Write ``json.dumps(document, indent=indent, sort_keys=sort_keys)`` and
+    a newline to ``handle`` without building the text.  Each top-level value
+    is written piece by piece as the encoder hands it out; a value that is an
+    iterator (a generator, say) is written as a list, one item at a time, so
+    the list is never held."""
+    encoder = json.JSONEncoder(indent=indent, sort_keys=sort_keys)
+    # JSON strings hold no raw newline, so each newline starts an indent: a
+    # value one level down takes one more indent after each of its newlines.
+    step = "\n" + " " * indent
+    item_step = step + " " * indent
+    opener = "{"
+    for key in sorted(document) if sort_keys else document:
+        handle.write(opener + step + encode_basestring_ascii(key) + ": ")
+        opener = ","
+        value = document[key]
+        if isinstance(value, Iterator):
+            separator = "["
+            for item in value:
+                handle.write(separator + item_step + encoder.encode(item).replace("\n", item_step))
+                separator = ","
+            handle.write("[]" if separator == "[" else step + "]")
+        else:
+            for chunk in encoder.iterencode(value):
+                handle.write(chunk.replace("\n", step))
+    handle.write("{}\n" if opener == "{" else "\n}\n")
 
 
 def read_back(path, build, what: str):

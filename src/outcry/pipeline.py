@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from datetime import date
 
-from .clustering import ClusterState
+from .clustering import ClusterState, stream_json
 from .config import RunConfig
 from .controversy import ControversyReport, classify_and_rank
 from .credibility import AllowList, NetworkRedirectResolver, RedirectMap
@@ -165,6 +165,33 @@ def _round_floats(value, places: int = 6):
 _VOLATILE_PARAMS = {"input", "out", "state_out"}
 
 
+def report_counters(result: Detector) -> dict:
+    """The report's ``counters``: replay, feature and clustering counts."""
+    return {
+        **result.replay_stats.as_dict(),
+        **result.counters,
+        "admitted": result.state.admitted,
+        "live_clusters": len(result.state.clusters),
+        "expired_clusters": result.state.expired_clusters,
+        "expired_members": result.state.expired_members,
+    }
+
+
+def _report(result: Detector, cfg: RunConfig) -> dict:
+    """The report document with its events and daily summaries as
+    generators, each item rounded as it is read."""
+    params = {k: v for k, v in cfg.as_dict().items() if k not in _VOLATILE_PARAMS}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "params": _round_floats(params),
+        "counters": report_counters(result),
+        "today": result.today.isoformat() if result.today else None,
+        "volume": {d.isoformat(): n for d, n in sorted(result.volume.items())},
+        "events": (_round_floats(r._asdict()) for r in result.reports),
+        "daily_summaries": (_round_floats(s) for s in result.daily_summaries),
+    }
+
+
 def report_payload(result: Detector, cfg: RunConfig) -> dict:
     """Deterministic report document: stable key order, floats at six
     decimal places, no wall-clock fields.  I/O paths are left out of the
@@ -172,20 +199,14 @@ def report_payload(result: Detector, cfg: RunConfig) -> dict:
     Each part that holds floats is rounded as it is built, so no unrounded
     copy of the whole document is held beside the rounded one.
     """
-    params = {k: v for k, v in cfg.as_dict().items() if k not in _VOLATILE_PARAMS}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": _round_floats(params),
-        "counters": {
-            **result.replay_stats.as_dict(),
-            **result.counters,
-            "admitted": result.state.admitted,
-            "live_clusters": len(result.state.clusters),
-            "expired_clusters": result.state.expired_clusters,
-            "expired_members": result.state.expired_members,
-        },
-        "today": result.today.isoformat() if result.today else None,
-        "volume": {d.isoformat(): n for d, n in sorted(result.volume.items())},
-        "events": [_round_floats(r._asdict()) for r in result.reports],
-        "daily_summaries": _round_floats(result.daily_summaries),
-    }
+    payload = _report(result, cfg)
+    payload["events"] = list(payload["events"])
+    payload["daily_summaries"] = list(payload["daily_summaries"])
+    return payload
+
+
+def write_report(result: Detector, cfg: RunConfig, handle) -> None:
+    """Write ``json.dumps(report_payload(result, cfg), indent=2,
+    sort_keys=True) + "\n"`` to ``handle``, one event and one daily summary
+    at a time, so neither list is built."""
+    stream_json(_report(result, cfg), handle, indent=2, sort_keys=True)

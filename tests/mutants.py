@@ -43,6 +43,7 @@ CTRL = "tests/test_controversy.py::"
 CLUS = "tests/test_clustering.py::"
 EVAL = "tests/test_cli.py::TestEvaluateCommand::"
 DETECT = "tests/test_cli.py::TestDetector::"
+STREAMED = "tests/test_cli.py::TestStreamedReport::"
 
 MUTANTS = (
     # -- the gate and rank (README "Controversy gate") ----------------------
@@ -111,9 +112,17 @@ MUTANTS = (
            (CLUS + "TestLinks::test_linkless_clusters_share_one_empty_links_object",
             CLUS + "TestLinks::test_a_linkless_singleton_on_one_day_costs_no_links_set")),
     Mutant("daily summaries left unrounded", "pipeline.py",
-           '"daily_summaries": _round_floats(result.daily_summaries),',
-           '"daily_summaries": result.daily_summaries,',
+           '"daily_summaries": (_round_floats(s) for s in result.daily_summaries),',
+           '"daily_summaries": iter(result.daily_summaries),',
            (DETECT + "test_report_is_rounded_in_every_part",)),
+    Mutant("a repeated term appended twice to a cluster's term list", "clustering.py",
+           "                if old is None:\n"
+           "                    old = 0\n"
+           "                    self._terms.append(term)\n",
+           "                self._terms.append(term)\n"
+           "                if old is None:\n"
+           "                    old = 0\n",
+           (CLUS + "TestTermSums::test_terms_the_cluster_has_cost_a_member_nothing",)),
     # -- replay --------------------------------------------------------------
     Mutant("a record exactly at the watermark is held", "ingest.py",
            "heap[0][0] <= watermark:", "heap[0][0] < watermark:",
@@ -171,11 +180,24 @@ MUTANTS = (
            (EVAL + "test_checkpoint_not_as_written_exits_2",
             EVAL + "test_truth_of_another_schema_version_exits_2")),
     Mutant("checkpoint cluster entries without a comma between them", "clustering.py",
-           r'separator = ",\n  "', r'separator = "\n  "',
+           'separator = ","', 'separator = ""',
            (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
     Mutant("an empty cluster list closed like a full one", "clustering.py",
-           r'("\n ]" if self.clusters else "]")', r'"\n ]"',
-           (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",)),
+           '"[]" if separator == "[" else step + "]"',
+           '("[" if separator == "[" else "") + step + "]"',
+           (CLUS + "TestCheckpoint::test_save_writes_the_payload_as_dumps_does",
+            STREAMED + "test_no_events")),
+    Mutant("a wrong event separator", "clustering.py",
+           'separator = ","', 'separator = ", "',
+           (STREAMED + "test_many_events_to_stdout",)),
+    Mutant("a term sum written as an int", "clustering.py",
+           '"term_sums": ("_sums", lambda v: {t: float(w) for t, w in v.items()},',
+           '"term_sums": ("_sums", dict,',
+           (CLUS + "TestTermSums::test_saved_sums_are_floats_and_load_back_as_ints",
+            "tests/test_pinned_bytes.py")),
+    Mutant("each loaded cluster gets its own day objects", "clustering.py",
+           "_day = lru_cache(maxsize=4096)(date.fromisoformat)", "_day = date.fromisoformat",
+           (CLUS + "TestCheckpoint::test_loaded_days_share_one_date_per_day",)),
     Mutant("member_ids not checked against per_day_counts", "clustering.py",
            "            if cluster.member_count != days:\n", "            if False:\n",
            (EVAL + "test_checkpoint_not_as_written_exits_2",)),

@@ -291,6 +291,81 @@ class TestDetectCommand:
         assert entry["clusters"][0]["mean_sentiment"] < 0
 
 
+def dumped(result, cfg):
+    """The report text ``detect --format json`` must write."""
+    return json.dumps(report_payload(result, cfg), indent=2, sort_keys=True) + "\n"
+
+
+class TestStreamedReport:
+    """``detect`` writes its JSON report one event at a time; the bytes are
+    those of the whole payload dumped at once."""
+
+    @pytest.fixture
+    def stream(self, tmp_path, scenario_file):
+        path = tmp_path / "stream.jsonl"
+        assert main(["synth", "--scenario", str(scenario_file), "--out", str(path)]) == 0
+        return path
+
+    def test_no_events(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "report.json"
+        assert main(["detect", "--input", str(empty), "--phrases", "acme",
+                     "--out", str(out)]) == 0
+        cfg = RunConfig(phrases=["acme"])
+        result = run_detection(str(empty), cfg)
+        assert result.reports == [] and result.daily_summaries == []
+        assert out.read_text(encoding="utf-8") == dumped(result, cfg)
+
+    def test_many_events_to_stdout(self, tmp_path, capsys):
+        # 40 topics of three tweets each, over two days: 40 events.
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(json.dumps({
+            "posting_id": f"t{k}-{i}",
+            "creation_time": f"2024-03-0{1 + i // 2}T10:{k:02d}:00Z",
+            "language": "en",
+            "text": f"AcmeCorp #topic{k} is {'great' if i else 'awful'}",
+        }) + "\n" for i in range(3) for k in range(40)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_event_size_N": 3}))
+        capsys.readouterr()
+        assert main(["detect", "--config", str(config), "--input", str(stream),
+                     "--phrases", "acmecorp"]) == 0
+        cfg = RunConfig(phrases=["acmecorp"], min_event_size=3)
+        result = run_detection(str(stream), cfg)
+        assert len(result.reports) == 40
+        assert capsys.readouterr().out == dumped(result, cfg)
+
+    def test_phrase_holding_a_newline_and_an_events_key(self, stream):
+        # Written by the config file, the phrase's JSON text holds "[]" and,
+        # decoded, a newline: neither may be taken for the report's own.
+        phrases = ["acmecorp", 'x\n"events": []']
+        config = stream.parent / "config.json"
+        config.write_text(json.dumps({"phrases": phrases}))
+        out = stream.parent / "report.json"
+        assert main(["detect", "--config", str(config), "--input", str(stream),
+                     "--out", str(out)]) == 0
+        cfg = RunConfig(phrases=phrases)
+        result = run_detection(str(stream), cfg)
+        assert result.reports
+        text = out.read_text(encoding="utf-8")
+        assert text == dumped(result, cfg)
+        assert json.loads(text)["params"]["phrases"] == phrases
+
+    def test_verbose_logs_one_detect_done_line(self, stream, capsys):
+        out = stream.parent / "report.json"
+        capsys.readouterr()
+        assert main(["detect", "--input", str(stream), "--phrases", "acmecorp",
+                     "--out", str(out), "--verbose"]) == 0
+        logged = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        done = [entry for entry in logged if entry["event"] == "detect_done"]
+        assert len(done) == 1
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["events"]
+        assert done[0]["counters"] == report["counters"]
+        assert done[0]["events"] == len(report["events"])
+
+
 class TestMarketCommand:
     def test_reconstructed_zscore_in_output(self, tmp_path):
         prices = tmp_path / "prices.csv"

@@ -194,6 +194,61 @@ class TestExpireInactive:
         assert decision == CREATED
 
 
+class TestTermSums:
+    """A cluster's term sums are its postings in the weighted index."""
+
+    def test_sums_are_the_index_weights_as_exact_ints(self):
+        state = ClusterState(ClusterParams(merge_threshold=0.9))
+        state.assign(make_vector("a", {"x": 2, "y": 1}))
+        state.assign(make_vector("b", {"z": 1, "x": 1}))
+        cluster = state.clusters[1]
+        assert list(cluster.term_sums.items()) == [("x", 3), ("y", 1), ("z", 1)]
+        assert all(type(w) is int for w in cluster.term_sums.values())
+        assert state._term_index == {"x": {1: 3}, "y": {1: 1}, "z": {1: 1}}
+        assert cluster.centroid == {"x": 1.5, "y": 0.5, "z": 0.5}
+
+    def test_terms_the_cluster_has_cost_a_member_nothing(self):
+        """Growth per member of one cluster whose 50 terms every member
+        repeats: its id's text (16 bytes here) and the buffer's
+        over-allocation.  Listing each term again would add 400."""
+        terms = {f"w{k}": 1 for k in range(50)}
+        n = 2_000
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        state.assign(make_vector("syn-000-00000", terms))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1, n + 1):
+                state.assign(make_vector(f"syn-000-{i:05d}", terms))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(state.clusters) == 1
+        assert state.clusters[1].top_terms(2) == [("w0", n + 1), ("w1", n + 1)]
+        assert (after - before) / n < 40
+
+    def test_a_cluster_on_its_own_keeps_a_private_index(self):
+        one = EventCluster(1, make_vector("a", {"x": 1}))
+        two = EventCluster(1, make_vector("b", {"x": 5}))
+        one.add(make_vector("c", {"x": 1, "y": 2}))
+        assert one.term_sums == {"x": 2, "y": 2} and two.term_sums == {"x": 5}
+
+    def test_saved_sums_are_floats_and_load_back_as_ints(self, tmp_path):
+        state = ClusterState(ClusterParams(merge_threshold=0.9))
+        state.assign(make_vector("a", {"x": 3}))
+        state.assign(make_vector("b", {"x": 1, "y": 1}))
+        path = tmp_path / "state.json"
+        state.save(path)
+        assert '"x": 4.0' in path.read_text()
+        assert state.payload()["clusters"][0]["term_sums"] == {"x": 4.0, "y": 1.0}
+        assert all(type(w) is float
+                   for w in state.payload()["clusters"][0]["term_sums"].values())
+        restored = ClusterState.load(path)
+        sums = restored.clusters[1].term_sums
+        assert sums == {"x": 4, "y": 1} and all(type(w) is int for w in sums.values())
+        assert restored._term_index == state._term_index
+
+
 class TestParams:
     def test_threshold_above_one_capped(self):
         assert ClusterParams(merge_threshold=1.5).merge_threshold == 1.0
@@ -373,6 +428,19 @@ class TestCheckpoint:
         state.save(path)
         assert path.read_text(encoding="utf-8") == json.dumps(state.payload(), indent=1) + "\n"
 
+    def test_loaded_days_share_one_date_per_day(self, tmp_path):
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        for i in range(12):  # three clusters, each on four days
+            state.assign(make_vector(f"t{i}", {f"x{i % 3}": 1},
+                                     ts=BASE_TIME + timedelta(days=i // 3)))
+        path = tmp_path / "state.json"
+        state.save(path)
+        restored = ClusterState.load(path)
+        keys = [d for c in restored.clusters.values()
+                for per_day in (c.per_day_counts, c.per_day_sentiment) for d in per_day]
+        assert len(keys) == 24
+        assert len({id(d) for d in keys}) == len(set(keys)) == 4
+
     def test_counters_survive_roundtrip(self, tmp_path):
         state, _, _ = self._stream_state()
         path = tmp_path / "state.json"
@@ -429,9 +497,9 @@ class TestLinks:
 
     def test_a_linkless_singleton_on_one_day_costs_no_links_set(self):
         """Growth per linkless singleton cluster, every vector on one day:
-        about 1,320 bytes (1,400 on Python 3.10) for the cluster, its term
-        sums, per-day dicts, partials, member text and its term's postings.
-        An empty ``set()`` per cluster would add 216."""
+        about 1,210 bytes on Python 3.11 for the cluster, its term list,
+        per-day dicts, partials, member text and its term's postings.  An
+        empty ``set()`` per cluster would add 216."""
         n = 5_000
         day = BASE_TIME.date()
         vectors = [make_vector(f"syn-000-{i:05d}", {f"t{i}": 1},

@@ -6,8 +6,8 @@ read from the clusters, a sorted scan of the candidates and a norm recomputed
 on every read.  On streams with shared hub terms and integer counts, where
 exact distance ties are common, with day changes that expire idle clusters and
 one checkpoint round trip, the shipped clusterer must make the same decisions,
-hold the same sums and norms, and keep its index equal to the one rebuilt from
-the live clusters.
+hold the same sums and norms, and keep its index, the only store of its sums,
+equal to the one rebuilt from the oracle's live clusters.
 """
 
 import math
@@ -63,8 +63,8 @@ def assert_same_state(state, oracle):
         assert list(cluster.term_sums.items()) == list(ref.term_sums.items())
         assert cluster._norm_sq == ref._norm_sq
         assert cluster.norm == math.sqrt(cluster._norm_sq)
-    # same weights, no expired ids, no empty postings
-    assert state._term_index == rebuilt_index(state)
+    # the oracle's sums as weights, no expired ids, no empty postings
+    assert state._term_index == rebuilt_index(oracle)
 
 
 def save_and_load(state):
