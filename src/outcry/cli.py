@@ -13,7 +13,7 @@ import sys
 from datetime import date
 from types import SimpleNamespace
 
-from .clustering import ClusterState, require_int
+from .clustering import ClusterState, read_json, require_int, stream_json
 from .config import InvalidConfig, RunConfig
 from .market import (
     InsufficientData,
@@ -67,12 +67,9 @@ def _write_output(write, out_path: str | None) -> bool:
 
 
 def _write_json(payload: dict, out_path: str | None) -> bool:
-    """``payload`` as indented JSON with sorted keys, streamed by
-    ``json.dump``: ``json.dumps`` with an indent joins the whole text first."""
-    def write(handle):
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return _write_output(write, out_path)
+    """``payload`` as indented JSON with sorted keys and a newline."""
+    return _write_output(
+        lambda handle: stream_json(payload, handle, indent=2, sort_keys=True), out_path)
 
 
 def _events_table(payload: dict) -> str:
@@ -243,8 +240,7 @@ def cmd_synth(args) -> int:
 
 def cmd_evaluate(args) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
+        report = read_json(args.report)
         state = ClusterState.load(args.state)
         truth = GroundTruth.load(args.truth)
         events = report["events"]
@@ -257,9 +253,8 @@ def cmd_evaluate(args) -> int:
     except OSError as exc:
         _fail(f"cannot read evaluation inputs: {exc}")
         return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-        # TypeError, AttributeError: a JSON value of the wrong shape;
-        # RecursionError: JSON nested too deep to decode
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # TypeError, AttributeError: a JSON value of the wrong shape
         _fail(f"malformed evaluation input: {exc}")
         return EXIT_INPUT
     payload = {"schema_version": SCHEMA_VERSION, **result._asdict()}

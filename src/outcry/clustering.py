@@ -58,6 +58,15 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def check_type(kind, description: str):
+    """A check that passes a value of type ``kind`` and rejects any other."""
+    def check(name: str, value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {description}, got {value!r}")
+        return value
+    return check
+
+
 class ClusterParams:
     """Knobs for the online clusterer.
 
@@ -451,12 +460,22 @@ def stream_json(document: dict, handle, indent: int, sort_keys: bool = False) ->
     handle.write("{}\n" if opener == "{" else "\n}\n")
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file at ``path``: ``ValueError`` for a
+    file that is not UTF-8 JSON, nesting too deep to decode included, and
+    ``OSError`` for one that cannot be read."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from exc
+
+
 def read_back(path, build, what: str):
     """``build(document)`` for the JSON document at ``path``, which this
     program wrote: the built object's ``payload()`` must be that document
     again (keys in any order, every number finite), else ``ValueError``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    document = read_json(path)
     try:
         built = build(document)
         same = (json.dumps(built.payload(), sort_keys=True, allow_nan=False)

@@ -6,10 +6,9 @@ fast instead of silently falling back to defaults.
 
 from __future__ import annotations
 
-import json
 from datetime import timedelta
 
-from .clustering import ClusterParams, require_finite, require_int
+from .clustering import ClusterParams, check_type, read_json, require_finite, require_int
 from .controversy import ControversyParams
 
 
@@ -22,10 +21,8 @@ def read_config_file(path):
     deeper than the recursion limit, is an ``InvalidConfig``; a file that
     cannot be read raises ``OSError``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    # JSONDecodeError, UnicodeDecodeError, an over-long integer; too deep
-    except (ValueError, RecursionError) as exc:
+        return read_json(path)
+    except ValueError as exc:
         raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -112,11 +109,8 @@ class RunConfig:
                 raise ValueError(f"phrases must be a list of strings or a comma-separated string, "
                                  f"got {self.phrases!r}")
             for name in _OPTIONAL_STRINGS:
-                value = getattr(self, name)
-                if value is not None and not isinstance(value, str):
-                    raise ValueError(f"{name} must be a string or null, got {value!r}")
-            if not isinstance(self.dedup, bool):
-                raise ValueError(f"dedup must be true or false, got {self.dedup!r}")
+                _string_or_null(name, getattr(self, name))
+            _bool("dedup", self.dedup)
             if self.format not in ("json", "table"):
                 raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
             if require_finite("lateness_seconds", self.lateness_seconds) < 0:
@@ -186,3 +180,5 @@ _OPTIONAL_STRINGS = (
     "input", "out", "state_out", "language_filter", "lexicon_path", "stopwords_path",
     "verbs_path", "gazetteer_path", "allowlist_path", "redirect_map_path",
 )
+_string_or_null = check_type((str, type(None)), "a string or null")
+_bool = check_type(bool, "true or false")

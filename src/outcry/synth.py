@@ -15,7 +15,7 @@ import re
 from datetime import date, datetime, time, timedelta, timezone
 from typing import NamedTuple
 
-from .clustering import read_back, require_finite, require_int
+from .clustering import check_type, read_back, require_finite, require_int, stream_json
 from .config import InvalidConfig, read_config_file
 from .credibility import AllowList
 from .features import SentimentLexicon
@@ -104,16 +104,7 @@ class ScenarioConfig(NamedTuple):
         return cls.from_dict(read_config_file(path))
 
 
-def _check(kind, description: str):
-    """A check that passes a value of type ``kind`` and rejects any other."""
-    def check(name: str, value):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be {description}, got {value!r}")
-        return value
-    return check
-
-
-_list, _string = _check(list, "a list"), _check(str, "a string")
+_list, _string = check_type(list, "a list"), check_type(str, "a string")
 
 
 def _strings(name: str, value) -> tuple[str, ...]:
@@ -140,7 +131,7 @@ _EVENT_KEYS = {
     "sentiment_range": _number_pair,
     "credible_link_count": require_int,
     "noncredible_link_count": require_int,
-    "expected_controversial": _check(bool, "true or false"),
+    "expected_controversial": check_type(bool, "true or false"),
 }
 _SCENARIO_KEYS = {
     "seed": require_int,
@@ -163,7 +154,7 @@ def _from_json(cls, checks: dict, data, what: str):
     """A ``cls`` built from a JSON object keyed by its field names.  Each value
     must pass its key's check in ``checks``; a missing key takes the default."""
     try:
-        unknown = set(_check(dict, "a JSON object")(what, data)) - set(checks)
+        unknown = set(check_type(dict, "a JSON object")(what, data)) - set(checks)
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         return cls(**{key: checks[key](key, value) for key, value in data.items()})
@@ -191,8 +182,7 @@ class GroundTruth:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.payload(), handle, indent=1)
-            handle.write("\n")
+            stream_json(self.payload(), handle, indent=1)
 
     @classmethod
     def load(cls, path) -> "GroundTruth":

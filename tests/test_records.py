@@ -10,6 +10,7 @@ output.
 
 import hashlib
 import inspect
+import io
 import json
 import os
 import random
@@ -23,6 +24,7 @@ import pytest
 from outcry import (
     AllowList,
     ClusterParams,
+    ClusterState,
     ControversyParams,
     ControversyReport,
     EvalResult,
@@ -42,6 +44,7 @@ from outcry import (
 import outcry
 from outcry import config, synth
 from outcry.cli import main
+from outcry.clustering import stream_json
 
 from test_cli import write_price_csv
 
@@ -170,6 +173,16 @@ def test_validation_errors(build, error, message):
     assert str(caught.value).startswith(message)
 
 
+@pytest.mark.parametrize("load, error", [(ClusterState.load, ValueError),
+                                         (GroundTruth.load, InvalidConfig)],
+                         ids=["checkpoint", "truth"])
+def test_loaders_reject_json_nested_too_deep(tmp_path, load, error):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(error, match="recursion"):
+        load(path)
+
+
 def test_replay_stats_equality():
     stats = ReplayStats(total=3, parse_errors=1, yielded=2)
     assert stats == ReplayStats(3, 1, 0, 0, 0, 2)
@@ -290,6 +303,21 @@ def test_market_bytes(tmp_path, monkeypatch):
                  "--out", "market_index.json"]) == 0
     assert sha256(tmp_path / "market.json") == DIGESTS["market"]
     assert sha256(tmp_path / "market_index.json") == DIGESTS["market --index"]
+
+
+@pytest.mark.parametrize("document, indent, sort_keys", [
+    ({}, 2, True),
+    ({"a": {}, "b": [], "c": [[], {}], "d": {"x": [{}]}}, 1, False),
+    ({"symbol": "caf\u00e9\nx", "event_return": None, "zscore": float("nan"),
+      "returns": [["2024-01-02", -1e-07]], "stats": {"n": 3, "mean": 0.5}}, 2, True),
+    (GroundTruth([EventTruth(0, True, ("a", "b")), EventTruth(1, False)]).payload(), 1, False),
+], ids=["empty", "empty containers", "market", "truth"])
+def test_stream_json_writes_what_json_dump_does(document, indent, sort_keys):
+    """Every JSON file the program writes goes through ``stream_json``."""
+    expected, streamed = io.StringIO(), io.StringIO()
+    json.dump(document, expected, indent=indent, sort_keys=sort_keys)
+    stream_json(document, streamed, indent, sort_keys)
+    assert streamed.getvalue() == expected.getvalue() + "\n"
 
 
 @pytest.mark.parametrize("demo", DEMO_DIGESTS)
