@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import date
 from types import SimpleNamespace
@@ -52,15 +53,23 @@ def _fail(message: str) -> None:
 
 
 def _write_output(write, out_path: str | None) -> bool:
-    """``write(handle)`` on ``out_path`` opened for writing (or on stdout);
-    False, after an ``error:`` line, when the file cannot be written."""
-    if not out_path:
-        write(sys.stdout)
-        return True
+    """``write(handle)`` on ``out_path`` opened for writing (or on stdout,
+    then flushed); False, after an ``error:`` line, when it cannot be
+    written."""
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            write(handle)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                write(handle)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
+        if not out_path and sys.stdout is sys.__stdout__:
+            # The interpreter flushes stdout again at exit: what is left
+            # goes to os.devnull, so that flush neither fails nor prints.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         _fail(f"cannot write output: {exc}")
         return False
     return True

@@ -10,6 +10,11 @@ from datetime import timedelta
 
 from .clustering import ClusterParams, check_type, read_json, require_finite, require_int
 from .controversy import ControversyParams
+from .ingest import PhraseFilter
+
+# The longest network timeout, in ms (about 24.8 days); the socket layer
+# rejects a timeout much past 9.2e9 s with an OverflowError.
+MAX_TIMEOUT_MS = 2**31 - 1
 
 
 class InvalidConfig(ValueError):
@@ -108,6 +113,8 @@ class RunConfig:
                     and all(isinstance(p, str) for p in self.phrases)):
                 raise ValueError(f"phrases must be a list of strings or a comma-separated string, "
                                  f"got {self.phrases!r}")
+            if self.phrases:
+                PhraseFilter(self.phrases)
             for name in _OPTIONAL_STRINGS:
                 _string_or_null(name, getattr(self, name))
             _bool("dedup", self.dedup)
@@ -119,6 +126,8 @@ class RunConfig:
                 raise ValueError("resolver_mode must be 'offline' or 'network'")
             if require_int("network_timeout_ms", self.network_timeout_ms) <= 0:
                 raise ValueError("network_timeout_ms must be positive")
+            if self.network_timeout_ms > MAX_TIMEOUT_MS:
+                raise ValueError(f"network_timeout_ms must be at most {MAX_TIMEOUT_MS}")
             if require_int("daily_summary_clusters", self.daily_summary_clusters) < 1:
                 raise ValueError("daily_summary_clusters must be >= 1")
         except ValueError as exc:

@@ -45,13 +45,16 @@ def load_price_csv(path, symbol: str | None = None) -> PriceSeries:
     points = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "date" not in reader.fieldnames or "close" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a 'date,close' header")
-        for row in reader:
-            day, close = row["date"], row["close"]
-            if day is None or close is None:
-                raise ValueError(f"{path}: line {reader.line_num} needs a date and a close")
-            points.append((date.fromisoformat(day.strip()), float(close)))
+        try:
+            if reader.fieldnames is None or "date" not in reader.fieldnames or "close" not in reader.fieldnames:
+                raise ValueError(f"{path}: expected a 'date,close' header")
+            for row in reader:
+                day, close = row["date"], row["close"]
+                if day is None or close is None:
+                    raise ValueError(f"{path}: line {reader.line_num} needs a date and a close")
+                points.append((date.fromisoformat(day.strip()), float(close)))
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise ValueError(f"{path}: {exc}") from exc
     return PriceSeries(symbol=symbol or str(path), points=tuple(points))
 
 

@@ -72,6 +72,9 @@ class ScenarioConfig(NamedTuple):
     def validate(self) -> None:
         if self.days < 1:
             raise InvalidConfig("days must be >= 1")
+        if self.start_date.toordinal() + self.days - 1 > date.max.toordinal():
+            raise InvalidConfig(f"a scenario of {self.days} days from {self.start_date} "
+                                f"runs past {date.max}")
         if self.ambient_rate < 0:
             raise InvalidConfig("ambient_rate must be >= 0")
         if self.ambient_rate > 0 and not self.ambient_topics:

@@ -44,6 +44,8 @@ CLUS = "tests/test_clustering.py::"
 EVAL = "tests/test_cli.py::TestEvaluateCommand::"
 DETECT = "tests/test_cli.py::TestDetector::"
 STREAMED = "tests/test_cli.py::TestStreamedReport::"
+CLI = "tests/test_cli.py::"
+RECORDS = "tests/test_records.py::"
 
 MUTANTS = (
     # -- the gate and rank (README "Controversy gate") ----------------------
@@ -217,6 +219,47 @@ MUTANTS = (
     Mutant("a non-finite sentiment is admitted", "clustering.py",
            '        require_finite("sentiment", vector.sentiment)\n', "",
            (CLUS + "TestAssign::test_non_finite_sentiment_rejected_before_any_change",)),
+    # -- one reader for every JSON file (clustering.read_json) --------------
+    Mutant("read_json lets RecursionError through", "clustering.py",
+           "        except RecursionError as exc:\n", "        except ArithmeticError as exc:\n",
+           (RECORDS + "test_loaders_reject_json_nested_too_deep",
+            EVAL + "test_wrong_json_shape_exits_2",
+            CLI + "test_unreadable_config_file_is_an_error_not_a_traceback")),
+    # -- README promises: exit codes at the edges ---------------------------
+    Mutant("a failed write to stdout is not caught", "cli.py",
+           "    except OSError as exc:\n        if not out_path and",
+           "    except OSError as exc:\n        if not out_path:\n            raise\n"
+           "        if not out_path and",
+           (CLI + "test_stdout_that_cannot_be_written_is_output_error",
+            CLI + "test_stdout_pipe_closed_before_the_write_exits_2")),
+    Mutant("stdout is not flushed inside the guard", "cli.py",
+           "            sys.stdout.flush()\n", "",
+           (CLI + "test_stdout_pipe_closed_before_the_write_exits_2",)),
+    Mutant("stdout left on the broken pipe for the flush at exit", "cli.py",
+           "            os.dup2(devnull, sys.stdout.fileno())\n", "",
+           (CLI + "test_stdout_pipe_closed_before_the_write_exits_2",)),
+    Mutant("blank phrases pass validation", "config.py",
+           "            if self.phrases:\n                PhraseFilter(self.phrases)\n", "",
+           (RECORDS + "test_validation_errors",
+            CLI + "test_non_finite_or_wrong_type_setting_is_config_error",
+            "tests/test_config_contract.py")),
+    Mutant("no bound on network_timeout_ms", "config.py",
+           "            if self.network_timeout_ms > MAX_TIMEOUT_MS:\n",
+           "            if False:\n",
+           (RECORDS + "test_validation_errors",
+            CLI + "test_non_finite_or_wrong_type_setting_is_config_error")),
+    Mutant("a scenario may run past the last date", "synth.py",
+           "        if self.start_date.toordinal() + self.days - 1 > date.max.toordinal():\n",
+           "        if False:\n",
+           (RECORDS + "test_validation_errors",
+            "tests/test_cli.py::TestSynthCommand::test_scenario_past_the_last_date_exits_1")),
+    Mutant("a scenario may not reach the last date", "synth.py",
+           "self.start_date.toordinal() + self.days - 1 > date.max.toordinal()",
+           "self.start_date.toordinal() + self.days > date.max.toordinal()",
+           ("tests/test_cli.py::TestSynthCommand::test_scenario_of_the_last_date_generates",)),
+    Mutant("a csv.Error from the price CSV escapes", "market.py",
+           "        except csv.Error as exc:", "        except ArithmeticError as exc:",
+           ("tests/test_cli.py::TestMarketCommand::test_field_over_the_csv_limit_exits_2",)),
 )
 
 

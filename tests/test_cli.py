@@ -411,6 +411,20 @@ class TestMarketCommand:
                      "--out", str(tmp_path / "market.json")]) == 2
         assert f"{short}: line 2 needs a date and a close" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("series, message", [("--prices", "bad price CSV"),
+                                                  ("--index", "cannot pair index series")])
+    def test_field_over_the_csv_limit_exits_2(self, tmp_path, capsys, series, message):
+        good, big = tmp_path / "good.csv", tmp_path / "big.csv"
+        event_day = write_price_csv(good, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+        big.write_text("date,close\n2024-01-01,1" + "0" * 140_000 + "\n")
+        files = {"--prices": good, "--index": good, series: big}
+        assert main(["market", "--prices", str(files["--prices"]),
+                     "--index", str(files["--index"]), "--event-date", event_day.isoformat(),
+                     "--out", str(tmp_path / "market.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}: {big}: field larger than field limit")
+        assert err.count("error:") == 1
+
     def test_bad_event_date_is_config_error(self, tmp_path):
         prices = tmp_path / "prices.csv"
         write_price_csv(prices, [0.01, -0.01])
@@ -463,6 +477,25 @@ class TestSynthCommand:
         assert main(["synth", "--scenario", str(bad), "--out",
                      str(tmp_path / "s.jsonl")]) == 1
 
+
+    @pytest.mark.parametrize("days, start_date", [(2, "9999-12-31"), (10**12, "2024-03-01")])
+    def test_scenario_past_the_last_date_exits_1(self, tmp_path, capsys, days, start_date):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 1, "days": days, "ambient_rate": 1,
+                                    "ambient_topics": [["a"]], "start_date": start_date}))
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a scenario of {days} days from {start_date} runs past 9999-12-31\n"
+        assert not out.exists()
+
+    def test_scenario_of_the_last_date_generates(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 1, "days": 1, "ambient_rate": 1,
+                                    "ambient_topics": [["a"]], "start_date": "9999-12-31"}))
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["creation_time"] == "9999-12-31T00:00:00+00:00"
 
     def test_sentiment_range_without_lexicon_words_exits_1(self, tmp_path, capsys):
         scenario = dict(SCENARIO, injected_events=[
@@ -702,6 +735,10 @@ class TestDetector:
     {"merge_threshold_D": True},
     {"news_count_gate": NAN},
     {"network_timeout_ms": 1.5},
+    {"network_timeout_ms": 2**31},
+    {"resolver_mode": "network", "network_timeout_ms": 10**30},
+    {"phrases": ["  "]},
+    {"phrases": [""]},
     {"phrases": 5},
     {"phrases": ["acmecorp", 5]},
     {"language_filter": 5},
@@ -806,6 +843,61 @@ def test_unwritable_output_is_input_error(tmp_path, target):
     assert ran.returncode == 2, ran.stderr
     assert "Traceback" not in ran.stderr
     assert ran.stderr.startswith("error: cannot write")
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["detect", "detect --format table", "market", "evaluate"])
+def test_stdout_that_cannot_be_written_is_output_error(tmp_path, capsys, monkeypatch, command):
+    stream = tmp_path / "in.jsonl"
+    stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
+                                  "text": "acmecorp plant fire"}) + "\n")
+    report, state, truth = tmp_path / "report.json", tmp_path / "state.json", tmp_path / "t.json"
+    detect = ["detect", "--input", str(stream), "--phrases", "acmecorp"]
+    assert main(detect + ["--out", str(report), "--state-out", str(state)]) == 0
+    GroundTruth().save(truth)
+    prices = tmp_path / "prices.csv"
+    event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
+    argv = {
+        "detect": detect,
+        "detect --format table": detect + ["--format", "table"],
+        "market": ["market", "--prices", str(prices), "--event-date", event_day.isoformat()],
+        "evaluate": ["evaluate", "--report", str(report), "--state", str(state),
+                     "--truth", str(truth)],
+    }[command]
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_stdout_pipe_closed_before_the_write_exits_2(tmp_path, fmt, buffered):
+    stream = tmp_path / "in.jsonl"
+    stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
+                                  "text": "acmecorp plant fire"}) + "\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(outcry.__file__).resolve().parent.parent))
+    # Buffered, the output fits the buffer and fails only when flushed.
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        ran = subprocess.run([sys.executable, "-m", "outcry.cli", "detect", "--input", str(stream),
+                              "--phrases", "acmecorp", "--format", fmt],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert ran.returncode == 2, ran.stderr
+    assert ran.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 class TestImports:

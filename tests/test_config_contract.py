@@ -3,8 +3,9 @@
 The README promises that config errors exit 1 and input errors exit 2.  The
 config files here are fuzzed: every key, values of every JSON type, and data
 files that are missing, empty, a directory, not UTF-8 or malformed.  The
-stream, phrases and output paths come from the command line, so a run never
-writes outside its temporary directory.  The stream has no URLs, so no
+stream and output paths come from the command line, so a run never writes
+outside its temporary directory; so do the phrases, unless the config holds
+them.  The stream has no URLs, so no
 setting makes a run resolve links over the network.
 """
 
@@ -51,7 +52,7 @@ GOOD = {
     "rank_weights": [[0.4, 0.3, 0.3], [1, 0, 0]],
     "news_count_gate": [1, 3],
     "resolver_mode": ["offline"],
-    "network_timeout_ms": [1, 3000],
+    "network_timeout_ms": [1, 3000, 2**31 - 1],
     "daily_summary_clusters": [1, 5],
 }
 
@@ -80,13 +81,16 @@ def good_value(key):
 
 
 # Mostly settings a working config might hold; then the same with one key
-# set to arbitrary JSON; then files that are not a config object at all.
+# set to arbitrary JSON, or with phrases that may be empty or blank; then
+# files that are not a config object at all.
 good_configs = st.fixed_dictionaries(
     {}, optional={key: good_value(key) for key in KEYS if key in GOOD or key in PATH_KEYS})
 configs = st.one_of(
     good_configs,
     st.builds(lambda config, key, value: {**config, key: value},
               good_configs, st.sampled_from(KEYS + ["bogus_key"]), json_values),
+    st.builds(lambda config, phrases: {**config, "phrases": phrases},
+              good_configs, st.lists(st.text(alphabet="a \t", max_size=2), max_size=3)),
     json_values,
     st.binary(max_size=12),
 )
@@ -125,8 +129,11 @@ def test_detect_on_fuzzed_config_exits_0_1_or_2(config, workdir, capsys):
     out, state = workdir / "report.json", workdir / "state.json"
     out.unlink(missing_ok=True)
     state.unlink(missing_ok=True)
+    # --phrases would override the config's phrases, so it is left out when
+    # the config holds them.
+    phrases = [] if isinstance(config, dict) and "phrases" in config else ["--phrases", "acmecorp"]
     code = main(["detect", "--config", str(config_path), "--input", str(workdir / "in.jsonl"),
-                 "--phrases", "acmecorp", "--out", str(out), "--state-out", str(state)])
+                 *phrases, "--out", str(out), "--state-out", str(state)])
     err = capsys.readouterr().err
     event(f"exit {code}")
     assert code in (0, 1, 2)

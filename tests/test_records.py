@@ -154,6 +154,9 @@ def test_container_defaults_are_fresh():
     (lambda: PriceSeries("X", ((date(2024, 1, 2), 0.0),)), ValueError,
      "price must be finite and positive on 2024-01-02: 0.0"),
     (lambda: RunConfig(phrases=None), InvalidConfig, "phrases must be a list of strings"),
+    (lambda: RunConfig(phrases=["acme", " "]), InvalidConfig, "phrases must not be empty"),
+    (lambda: RunConfig(network_timeout_ms=2**31), InvalidConfig,
+     "network_timeout_ms must be at most 2147483647"),
     (lambda: RunConfig(lexicon_path=5), InvalidConfig,
      "lexicon_path must be a string or null, got 5"),
     (lambda: RunConfig(format="xml"), InvalidConfig, "format must be 'json' or 'table'"),
@@ -162,6 +165,8 @@ def test_container_defaults_are_fresh():
     (lambda: ScenarioConfig.from_dict({"seed": 1, "days": 0}), InvalidConfig,
      "days must be >= 1"),
     (lambda: ScenarioConfig.from_dict({"seed": 1}), InvalidConfig, "bad scenario: "),
+    (lambda: ScenarioConfig.from_dict({"seed": 1, "days": 2, "start_date": "9999-12-31"}),
+     InvalidConfig, "a scenario of 2 days from 9999-12-31 runs past 9999-12-31"),
     (lambda: ScenarioConfig.from_dict({"seed": 1, "days": 1, "injected_events": [{
         "start_day": 0, "duration_days": 1, "peak_rate": 1, "term_pool": ["a"],
         "sentiment_range": [-1, 0], "credible_link_count": -1}]}), InvalidConfig,
