@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INPUT = 2
 
+# The most histogram bins `market` builds: each is a list slot, so an
+# unbounded --bins could ask for gigabytes.
+MAX_BINS = 10_000
+
 
 def _log(verbose: bool, event: str, **fields) -> None:
     if verbose:
@@ -164,6 +168,9 @@ def cmd_market(args) -> int:
         if value < 1:
             _fail(f"{name} must be >= 1, got {value}")
             return EXIT_CONFIG
+    if args.bins > MAX_BINS:
+        _fail(f"--bins must be <= {MAX_BINS}, got {args.bins}")
+        return EXIT_CONFIG
     try:
         series = load_price_csv(args.prices)
     except OSError as exc:

@@ -14,8 +14,14 @@ postings.  The index is the only store of the sums: each weight is the
 cluster's term sum, and a cluster keeps just its terms and a reference to the
 index.  A sum is the exact ``int`` its counts add up to (an integer below
 2**53, so every product, norm and distance is bit-identical to one computed
-in floats).  The closest cluster is picked in one pass, ties to the lowest
-id, without sorting.
+in floats, whatever order a dot is summed in; a checkpoint with any other sum
+does not load).  The closest cluster is picked without sorting, ties to the
+lowest id, in two passes.  The first scores the clusters in every postings
+list of the vector but the longest.  A cluster found only in the longest
+list shares one term with the vector, so its cosine is at most that term's
+count over the vector's norm (Cauchy-Schwarz); the second pass reads the
+longest list only when that bound can still tie the best distance so far or
+merge.  This is the top-1 case of MaxScore (Turtle & Flood, IP&M 1995).
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ CHECKPOINT_VERSION = 2
 # The links of every cluster that has none: most clusters never get a link,
 # so each starts with this one object and gets its own set at its first link.
 _NO_LINKS: frozenset[str] = frozenset()
+
+# Room for rounding in assign's bound test, which only makes the longest
+# postings list get read more often: the distances it guards are rounded in
+# their last bits, far below this.
+_BOUND_SLACK = 1e-9
 
 
 class DegenerateVector(ValueError):
@@ -244,28 +255,53 @@ class ClusterState:
 
         index = self._term_index
         clusters = self.clusters
+        threshold = self.params.merge_threshold
+        # Dots over every postings list but the longest, which is set aside.
         dots: dict[int, float] = {}
+        longest: dict[int, int] = {}
+        long_len = long_count = 0
         for term, count in terms.items():
             postings = index.get(term)
             if postings:
+                size = len(postings)
+                if size > long_len:
+                    postings, longest, long_len = longest, postings, size
+                    count, long_count = long_count, count
                 for cid, weight in postings.items():
                     dots[cid] = dots.get(cid, 0.0) + count * weight
 
         best_id = -1
         best_dist = math.inf
-        if dots:
+        if longest:
             counts = terms.values()
             v_norm = math.sqrt(sum(map(mul, counts, counts)))
+            long_weight = longest.get
             for cid, dot in dots.items():
+                weight = long_weight(cid)
+                if weight is not None:
+                    dot += long_count * weight
                 d = 1.0 - dot / (v_norm * clusters[cid].norm)
                 if d < 0.0:
                     d = 0.0
                 if d < best_dist or (d == best_dist and cid < best_id):
                     best_dist = d
                     best_id = cid
+            # A cluster in no other list shares one term with the vector, so
+            # its cosine is at most long_count / v_norm: read the longest list
+            # only when that bound can still tie the best or merge.
+            if long_count / v_norm >= 1.0 - min(best_dist, threshold) - _BOUND_SLACK:
+                for cid, weight in longest.items():
+                    if cid in dots:
+                        continue
+                    d = 1.0 - long_count * weight / (v_norm * clusters[cid].norm)
+                    if d < 0.0:
+                        d = 0.0
+                    if d < best_dist or (d == best_dist and cid < best_id):
+                        best_dist = d
+                        best_id = cid
 
         self.admitted += 1
-        if best_id >= 0 and best_dist < self.params.merge_threshold:
+        if best_id >= 0 and best_dist < threshold:
             clusters[best_id].add(vector)
             return best_id, MERGED
 
@@ -402,10 +438,14 @@ def _by_day(per_day: dict) -> dict:
 _day = lru_cache(maxsize=4096)(date.fromisoformat)
 
 
-def _exact(weight) -> int | float:
-    """A term sum as ``add`` keeps it: the ``int`` a whole number is."""
+def _exact(weight) -> int:
+    """A term sum as ``add`` keeps it: the ``int`` a whole number is.  Any
+    other sum is a ``ValueError``: ``assign`` relies on each being an integer
+    below 2**53, so that the order it sums them in cannot change a dot."""
     weight = float(weight)
-    return int(weight) if weight.is_integer() else weight
+    if weight.is_integer() and abs(weight) < 2**53:
+        return int(weight)
+    raise ValueError(f"term sum {weight!r} is not a whole number below 2**53")
 
 
 # The checkpoint's state counters, saved and loaded as integers.

@@ -66,13 +66,39 @@ MUTANTS = (
            "max(1.0, baseline)", "max(0.5, baseline)",
            (CTRL + "TestBurstiness::test_zero_baseline_uses_floor_of_one",)),
     # -- clustering ----------------------------------------------------------
+    # assign scores the clusters in every postings list but the longest
+    # (the first loop), then those found only in the longest (the second).
     Mutant("no clamp of a distance rounded below zero", "clustering.py",
-           "                if d < 0.0:\n                    d = 0.0\n", "",
+           "\n                if d < 0.0:\n                    d = 0.0\n", "\n",
            (CLUS + "TestAssign::test_distance_rounded_below_zero_ties_at_zero",)),
+    Mutant("no clamp of a distance rounded below zero in the longest list", "clustering.py",
+           "\n                    if d < 0.0:\n                        d = 0.0\n", "\n",
+           "equivalent: a cluster found only in the longest list shares one term with "
+           "the vector, so its dot is long_count * weight.  With sums and squared norms "
+           "below 2**53 (the module's premise) v_norm and the cluster's norm are correctly "
+           "rounded square roots of exact sums that hold long_count**2 and weight**2, so "
+           "they are at least long_count and weight, their product is at least the dot, "
+           "and the distance is never below 0."),
     Mutant("assignment tie goes to the highest id", "clustering.py",
-           "(d == best_dist and cid < best_id)", "(d == best_dist and cid > best_id)",
+           "\n                if d < best_dist or (d == best_dist and cid < best_id):",
+           "\n                if d < best_dist or (d == best_dist and cid > best_id):",
+           (CLUS + "TestAssign::test_tie_between_the_shorter_lists_goes_to_the_lower_id",)),
+    Mutant("assignment tie in the longest list goes to the highest id", "clustering.py",
+           "\n                    if d < best_dist or (d == best_dist and cid < best_id):",
+           "\n                    if d < best_dist or (d == best_dist and cid > best_id):",
            (CLUS + "TestAssign::test_equidistant_tie_goes_to_lowest_cluster_id",
-            CLUS + "TestAssign::test_tie_goes_to_lowest_id_when_a_higher_id_is_scored_first")),
+            CLUS + "TestAssign::test_tie_goes_to_lowest_id_when_a_higher_id_is_scored_first",
+            CLUS + "TestAssign::test_tie_at_the_bound_goes_to_the_lower_id_in_the_longest_list")),
+    Mutant("the longest list is never read", "clustering.py",
+           "if long_count / v_norm >= 1.0 - min(best_dist, threshold) - _BOUND_SLACK:",
+           "if False:",
+           (CLUS + "TestAssign::test_cluster_only_in_the_longest_list_wins_when_closest",
+            CLUS + "TestAssign::test_tie_at_the_bound_goes_to_the_lower_id_in_the_longest_list",
+            "tests/test_weighted_index_oracle.py")),
+    Mutant("the bound test uses > with no slack", "clustering.py",
+           "long_count / v_norm >= 1.0 - min(best_dist, threshold) - _BOUND_SLACK",
+           "long_count / v_norm > 1.0 - min(best_dist, threshold)",
+           (CLUS + "TestAssign::test_tie_at_the_bound_goes_to_the_lower_id_in_the_longest_list",)),
     Mutant("sentiment grow step without the magnitude swap", "clustering.py",
            "            if abs(x) < abs(y):\n                x, y = y, x\n", "",
            (CLUS + "TestSentimentPartials::test_fsum_of_partials_is_fsum_of_sentiments",)),
@@ -203,6 +229,11 @@ MUTANTS = (
     Mutant("member_ids not checked against per_day_counts", "clustering.py",
            "            if cluster.member_count != days:\n", "            if False:\n",
            (EVAL + "test_checkpoint_not_as_written_exits_2",)),
+    Mutant("a term sum that is no exact int loads", "clustering.py",
+           '    raise ValueError(f"term sum {weight!r} is not a whole number below 2**53")',
+           "    return weight",
+           (CLUS + "TestTermSums::test_a_sum_that_is_no_exact_int_does_not_load",
+            EVAL + "test_checkpoint_not_as_written_exits_2")),
     Mutant("member_ids read as they are", "clustering.py",
            '"member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),',
            '"member_ids": ("_member_text", _ids, _ids_text),',
@@ -257,6 +288,9 @@ MUTANTS = (
            "self.start_date.toordinal() + self.days - 1 > date.max.toordinal()",
            "self.start_date.toordinal() + self.days > date.max.toordinal()",
            ("tests/test_cli.py::TestSynthCommand::test_scenario_of_the_last_date_generates",)),
+    Mutant("no upper bound on --bins", "cli.py",
+           "    if args.bins > MAX_BINS:\n", "    if False:\n",
+           (CLI + "TestMarketCommand::test_window_or_bins_below_one_is_config_error",)),
     Mutant("a csv.Error from the price CSV escapes", "market.py",
            "        except csv.Error as exc:", "        except ArithmeticError as exc:",
            ("tests/test_cli.py::TestMarketCommand::test_field_over_the_csv_limit_exits_2",)),

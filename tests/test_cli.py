@@ -433,14 +433,17 @@ class TestMarketCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--window-days", "0"), ("--window-days", "-1"), ("--bins", "0"), ("--bins", "-3"),
+        ("--bins", "10001"),
     ])
     def test_window_or_bins_below_one_is_config_error(self, tmp_path, capsys, flag, value):
+        # ... or --bins above 10,000, which would only make a huge empty histogram
         prices = tmp_path / "prices.csv"
         event_day = write_price_csv(prices, [0.01, -0.01, 0.02, 0.0], event_return=-0.017)
         out = tmp_path / "market.json"
         assert main(["market", "--prices", str(prices), "--event-date", event_day.isoformat(),
                      flag, value, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 1")
+        bound = ">= 1" if int(value) < 1 else "<= 10000"
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be {bound}, got {value}")
         assert not out.exists()
 
     def test_index_overlay(self, tmp_path):
@@ -597,6 +600,8 @@ class TestEvaluateCommand:
             sentiment_partials=[NAN] + c["sentiment_partials"][1:]),
         "extra cluster key": lambda doc, c: c.update(extra=1),
         "expiry 1e300 hours": lambda doc, c: doc["params"].update(inactivity_expiry_hours=1e300),
+        "non-whole term sum": lambda doc, c: c["term_sums"].update(
+            {next(iter(c["term_sums"])): 2.5}),
         "version 1": lambda doc, c: doc.update(schema_version=1, clusters=[
             {("sentiments" if k == "sentiment_partials" else k): v for k, v in e.items()}
             for e in doc["clusters"]]),

@@ -107,6 +107,49 @@ class TestAssign:
         assert state.assign(make_vector("b", {"x": 7, "y": 7})) == (2, CREATED)
         assert state.assign(make_vector("c", {"x": 3, "y": 3})) == (1, MERGED)
 
+    @staticmethod
+    def _hub_state(*more):
+        """Cluster 1 {h}, cluster 2 {h, z, y, w}, then ``more``, under θ 0.4:
+        h's postings list, two long, is longer than any other's."""
+        state = ClusterState(ClusterParams(merge_threshold=0.4))
+        assert state.assign(make_vector("a", {"h": 1})) == (1, CREATED)
+        assert state.assign(make_vector("b", {"h": 1, "z": 1, "y": 1, "w": 1})) == (2, CREATED)
+        for i, terms in enumerate(more):
+            assert state.assign(make_vector(f"m{i}", terms)) == (3 + i, CREATED)
+        return state
+
+    def test_cluster_only_in_the_longest_list_wins_when_closest(self):
+        # {h, a} is 0.29 from cluster 1 and 0.65 from cluster 3, which its
+        # shorter list a finds; cluster 1 shares only h with it.
+        state = self._hub_state({"a": 1, "q": 1, "r": 1, "s": 1})
+        assert state.assign(make_vector("p", {"h": 1, "a": 1})) == (1, MERGED)
+
+    def test_tie_at_the_bound_goes_to_the_lower_id_in_the_longest_list(self):
+        # {h, a} is 1 - 1/sqrt(2) from both {a} (cluster 3) and {h}
+        # (cluster 1), exactly the bound for a cluster only in h's list.
+        state = self._hub_state({"a": 1})
+        assert state.assign(make_vector("p", {"h": 1, "a": 1})) == (1, MERGED)
+
+    def test_tie_between_the_shorter_lists_goes_to_the_lower_id(self):
+        # {a, b, h} is 1 - 1/sqrt(3) from both {a} and {b}; h's list is longer.
+        state = ClusterState(ClusterParams(merge_threshold=0.45))
+        for i, terms in enumerate(({"a": 1}, {"b": 1}, {"h": 1, "p": 1, "q": 1, "r": 1},
+                                   {"h": 1, "s": 1, "t": 1, "u": 1})):
+            assert state.assign(make_vector(f"c{i}", terms)) == (i + 1, CREATED)
+        assert state.assign(make_vector("p", {"b": 1, "a": 1, "h": 1})) == (1, MERGED)
+
+    def test_longest_list_is_not_read_when_no_cluster_there_can_win(self):
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("the longest postings list was iterated")
+
+        # {h, a, b, c} is 0.13 from {a, b, c}; a cluster only in h's list is
+        # at least 1 - 1/2 away.
+        state = self._hub_state({"a": 1, "b": 1, "c": 1})
+        state._term_index["h"] = Unread(state._term_index["h"])
+        assert state.assign(make_vector("p", {"h": 1, "a": 1, "b": 1, "c": 1})) == (3, MERGED)
+        assert state.clusters[3].term_sums == {"a": 2, "b": 2, "c": 2, "h": 1}
+
     def test_far_vector_creates_new_cluster(self):
         state = ClusterState(ClusterParams(merge_threshold=0.3))
         state.assign(make_vector("a", {"x": 1}))
@@ -247,6 +290,19 @@ class TestTermSums:
         sums = restored.clusters[1].term_sums
         assert sums == {"x": 4, "y": 1} and all(type(w) is int for w in sums.values())
         assert restored._term_index == state._term_index
+
+    @pytest.mark.parametrize("weight", [2.5, 2.0**53])
+    def test_a_sum_that_is_no_exact_int_does_not_load(self, tmp_path, weight):
+        # Such a sum would make the order assign sums a dot in matter.
+        state = ClusterState()
+        state.assign(make_vector("a", {"x": 2, "y": 1}))
+        path = tmp_path / "state.json"
+        state.save(path)
+        document = json.loads(path.read_text())
+        document["clusters"][0]["term_sums"]["y"] = weight
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="is not a whole number below 2\\*\\*53"):
+            ClusterState.load(path)
 
 
 class TestParams:
