@@ -39,7 +39,7 @@ from .features import TweetVector
 MERGED = "merged"
 CREATED = "created"
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # The links of every cluster that has none: most clusters never get a link,
 # so each starts with this one object and gets its own set at its first link.
@@ -111,8 +111,9 @@ class EventCluster:
     built on its own.  ``term_sums`` and ``centroid`` (mean term weights) are
     views built from the index on demand (an expired cluster has left the
     index, and its sums with it).  ``norm`` is the L2 norm of the sums, set
-    once per member from the squared norm, which is maintained
-    incrementally.
+    once per member from the squared norm: an exact ``int``, kept up to date
+    as members join and summed from the sums when a cluster is loaded, so a
+    loaded norm is the live one.
 
     Member ids are kept in one buffer, each as its JSON text (ASCII, with no
     raw newline) followed by a newline: about 17 bytes a member where a
@@ -140,7 +141,7 @@ class EventCluster:
         self.per_day_sentiment: dict[date, float] = {}
         self.created_at = vector.timestamp
         self.last_updated = vector.timestamp
-        self._norm_sq = 0.0
+        self._norm_sq = 0
         self.add(vector)
 
     @property
@@ -186,7 +187,7 @@ class EventCluster:
                     old = 0
                     self._terms.append(term)
                 postings[cid] = old + count
-            norm_sq += count * (2.0 * old + count)
+            norm_sq += count * (2 * old + count)
         self._norm_sq = norm_sq
         self.norm = math.sqrt(norm_sq)
         # As ``load`` reads them back, so a vector built with an int id or
@@ -238,8 +239,6 @@ class ClusterState:
         self.params = params or ClusterParams()
         self.clusters: dict[int, EventCluster] = {}
         self.next_id = 1
-        self.admitted = 0
-        self.expired_clusters = 0
         self.expired_members = 0
         # term -> {cluster id: that cluster's running sum for the term}
         self._term_index: dict[str, dict[int, int]] = {}
@@ -300,7 +299,6 @@ class ClusterState:
                         best_dist = d
                         best_id = cid
 
-        self.admitted += 1
         if best_id >= 0 and best_dist < threshold:
             clusters[best_id].add(vector)
             return best_id, MERGED
@@ -309,6 +307,18 @@ class ClusterState:
         self.next_id += 1
         clusters[cid] = EventCluster(cid, vector, index)
         return cid, CREATED
+
+    @property
+    def admitted(self) -> int:
+        """Vectors assigned so far: each is a member of a live cluster or of
+        an expired one."""
+        return sum(c.member_count for c in self.clusters.values()) + self.expired_members
+
+    @property
+    def expired_clusters(self) -> int:
+        """Clusters expired so far: every id below ``next_id`` is live or
+        expired."""
+        return self.next_id - 1 - len(self.clusters)
 
     def candidate_events(self) -> list[EventCluster]:
         """Clusters large enough to count as events, biggest first."""
@@ -330,7 +340,6 @@ class ClusterState:
         ]
         for cid in doomed:
             cluster = self.clusters.pop(cid)
-            self.expired_clusters += 1
             self.expired_members += cluster.member_count
             for term in cluster._terms:
                 postings = self._term_index.get(term)
@@ -362,7 +371,8 @@ class ClusterState:
 
     def save(self, path) -> None:
         """Write a versioned JSON checkpoint; loading restores bit-identical
-        state (norms included, so resumed runs match uninterrupted ones).
+        state (norms recomputed from the exact sums, so resumed runs match
+        uninterrupted ones).
 
         The bytes are ``json.dumps(self.payload(), indent=1) + "\n"``, written
         one cluster entry at a time so the whole document is never built."""
@@ -394,6 +404,10 @@ class ClusterState:
             cluster._index = state._term_index
             for key, (slot, _, read) in _CLUSTER_FIELDS.items():
                 setattr(cluster, slot, read(entry[key]))
+            if not 1 <= cluster.cluster_id < state.next_id:
+                raise ValueError(f"cluster id {cluster.cluster_id} is not in "
+                                 f"[1, next_id {state.next_id})")
+            cluster._norm_sq = sum(w * w for w in cluster.term_sums.values())
             cluster.norm = math.sqrt(cluster._norm_sq)
             cluster.member_count = cluster._member_text.count(b"\n")
             days = sum(cluster.per_day_counts.values())
@@ -401,6 +415,11 @@ class ClusterState:
                 raise ValueError(f"cluster {cluster.cluster_id} has {cluster.member_count} "
                                  f"member_ids, but its per_day_counts sum to {days}")
             state.clusters[cluster.cluster_id] = cluster
+        # Every id is in [1, next_id), so no fewer than 0 clusters expired;
+        # each expired cluster took at least one member with it.
+        if state.expired_clusters > state.expired_members:
+            raise ValueError(f"{state.expired_clusters} expired clusters cannot hold "
+                             f"{state.expired_members} expired members")
         return state
 
 
@@ -448,8 +467,9 @@ def _exact(weight) -> int:
     raise ValueError(f"term sum {weight!r} is not a whole number below 2**53")
 
 
-# The checkpoint's state counters, saved and loaded as integers.
-_COUNTERS = ("next_id", "admitted", "expired_clusters", "expired_members")
+# The checkpoint's state counters, saved and loaded as integers (``admitted``
+# and ``expired_clusters`` follow from them and the clusters).
+_COUNTERS = ("next_id", "expired_members")
 
 # Checkpoint cluster key -> (EventCluster slot, how ``save`` writes the slot
 # value, how ``load`` turns the JSON value back into it).  Each reader coerces
@@ -459,7 +479,6 @@ _CLUSTER_FIELDS = {
     "cluster_id": ("cluster_id", _same, int),
     "term_sums": ("_sums", lambda v: {t: float(w) for t, w in v.items()},
                   lambda v: {str(t): _exact(w) for t, w in v.items()}),
-    "norm_sq": ("_norm_sq", _same, float),
     "member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),
     "sentiment_partials": ("sentiment_partials", _same, lambda v: [float(s) for s in v]),
     "links": ("links", sorted, lambda v: {str(u) for u in v} or _NO_LINKS),

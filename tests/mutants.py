@@ -234,6 +234,25 @@ MUTANTS = (
            "    return weight",
            (CLUS + "TestTermSums::test_a_sum_that_is_no_exact_int_does_not_load",
             EVAL + "test_checkpoint_not_as_written_exits_2")),
+    Mutant("a loaded norm summed from the sums, not their squares", "clustering.py",
+           "cluster._norm_sq = sum(w * w for w in cluster.term_sums.values())",
+           "cluster._norm_sq = sum(w for w in cluster.term_sums.values())",
+           (CLUS + "TestCheckpoint::test_resumed_run_matches_an_uninterrupted_one",)),
+    Mutant("cluster ids not checked against next_id", "clustering.py",
+           "            if not 1 <= cluster.cluster_id < state.next_id:\n",
+           "            if False:\n",
+           (CLUS + "TestCheckpoint::test_next_id_at_a_live_cluster_id_does_not_load",
+            EVAL + "test_checkpoint_not_as_written_exits_2")),
+    Mutant("expired clusters not checked against expired members", "clustering.py",
+           "        if state.expired_clusters > state.expired_members:\n",
+           "        if False:\n",
+           (EVAL + "test_checkpoint_not_as_written_exits_2",)),
+    Mutant("admitted leaves out the expired members", "clustering.py",
+           "c.member_count for c in self.clusters.values()) + self.expired_members",
+           "c.member_count for c in self.clusters.values())",
+           ("tests/test_cli.py::TestPipelineCounters::"
+            "test_day_closes_at_first_admitted_vector_of_a_later_day",
+            "tests/test_pinned_bytes.py")),
     Mutant("member_ids read as they are", "clustering.py",
            '"member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),',
            '"member_ids": ("_member_text", _ids, _ids_text),',

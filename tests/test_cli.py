@@ -595,7 +595,12 @@ class TestEvaluateCommand:
         "links string": lambda doc, c: c.update(links=" ".join(c["links"])),
         "float per_day_counts": lambda doc, c: c.update(
             per_day_counts={d: float(n) for d, n in c["per_day_counts"].items()}),
-        "admitted true": lambda doc, c: doc.update(admitted=True),
+        "expired_members true": lambda doc, c: doc.update(expired_members=True),
+        "norm_sq kept": lambda doc, c: c.update(norm_sq=0.25),
+        "next_id at a cluster id": lambda doc, c: doc.update(next_id=c["cluster_id"]),
+        "cluster_id at next_id": lambda doc, c: c.update(cluster_id=doc["next_id"]),
+        "cluster_id 0": lambda doc, c: c.update(cluster_id=0),
+        "expired_members below expired_clusters": lambda doc, c: doc.update(expired_members=-1),
         "NaN sentiment": lambda doc, c: c.update(
             sentiment_partials=[NAN] + c["sentiment_partials"][1:]),
         "extra cluster key": lambda doc, c: c.update(extra=1),

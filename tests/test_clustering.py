@@ -466,9 +466,9 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         state.save(path)
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
 
-        for version in (1, 99):
+        for version in (1, 2, 99):
             payload["schema_version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"unsupported checkpoint version: {version}"):
@@ -496,6 +496,64 @@ class TestCheckpoint:
                 for per_day in (c.per_day_counts, c.per_day_sentiment) for d in per_day]
         assert len(keys) == 24
         assert len({id(d) for d in keys}) == len(set(keys)) == 4
+
+    @staticmethod
+    def _feed(state, vectors, day=None):
+        """Assign ``vectors`` as a run does, expiring at each day change;
+        ``day`` is the day of the vector before the first one."""
+        decisions = []
+        for vector in vectors:
+            if day is not None and vector.day != day:
+                state.expire_inactive(vector.timestamp)
+            day = vector.day
+            decisions.append(state.assign(vector))
+        return decisions
+
+    @staticmethod
+    def _facts(state):
+        return (state.payload(), state.admitted, state.expired_clusters,
+                {cid: c.norm for cid, c in state.clusters.items()})
+
+    def test_resumed_run_matches_an_uninterrupted_one(self, tmp_path):
+        # Five hours apart on a small vocabulary, over 34 days: some clusters
+        # grow to events and some sit idle past the expiry.
+        rng = random.Random(11)
+        vocab = [f"v{i}" for i in range(14)]
+        vectors = [random_vector(rng, i, vocab, ts=BASE_TIME + timedelta(hours=5 * i))
+                   for i in range(160)]
+        params = ClusterParams(merge_threshold=0.6, min_event_size=4,
+                               inactivity_expiry=timedelta(hours=36))
+        whole = ClusterState(params)
+        decisions = self._feed(whole, vectors)
+        assert whole.expired_clusters > 0 and whole.candidate_events()
+        n = len(vectors)
+        for k in (0, 1, n // 2, n - 1):
+            state = ClusterState(params)
+            head = self._feed(state, vectors[:k])
+            path = tmp_path / f"cut{k}.json"
+            state.save(path)
+            restored = ClusterState.load(path)
+            assert self._facts(restored) == self._facts(state)
+            tail = self._feed(restored, vectors[k:], vectors[k - 1].day if k else None)
+            assert head + tail == decisions
+            assert self._facts(restored) == self._facts(whole)
+
+    def test_next_id_at_a_live_cluster_id_does_not_load(self, tmp_path):
+        # Clusters 1 and 2 expire; 3 lives.  With next_id 3 the counters still
+        # agree (one expired cluster, two expired members), but the next
+        # created cluster would take id 3 from the live one.
+        state = ClusterState(ClusterParams(inactivity_expiry=timedelta(hours=1)))
+        for i, term in enumerate("xyz"):
+            state.assign(make_vector(f"t{i}", {term: 1}, ts=BASE_TIME + timedelta(hours=2 * i)))
+            state.expire_inactive(BASE_TIME + timedelta(hours=2 * i))
+        assert (set(state.clusters), state.expired_clusters, state.expired_members) == ({3}, 2, 2)
+        path = tmp_path / "state.json"
+        state.save(path)
+        document = json.loads(path.read_text())
+        document["next_id"] = 3
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"cluster id 3 is not in \[1, next_id 3\)"):
+            ClusterState.load(path)
 
     def test_counters_survive_roundtrip(self, tmp_path):
         state, _, _ = self._stream_state()
