@@ -111,18 +111,11 @@ def _events_table(payload: dict) -> str:
 
 def _detect_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.phrases:
-        cfg.phrases = args.phrases
-    if args.input:
-        cfg.input = args.input
-    if args.lateness_seconds is not None:
-        cfg.lateness_seconds = args.lateness_seconds
-    if args.state_out:
-        cfg.state_out = args.state_out
-    if args.out:
-        cfg.out = args.out
-    if args.format:
-        cfg.format = args.format
+    # Each detect flag's dest is the attribute it sets; an empty string sets
+    # nothing, and neither does a flag not given (None).
+    for name, value in vars(args).items():
+        if name in RunConfig.__slots__ and value not in (None, ""):
+            setattr(cfg, name, value)
     cfg.validate()
     if not cfg.phrases:
         raise InvalidConfig("detect needs at least one phrase (--phrases or config)")

@@ -414,6 +414,12 @@ class ClusterState:
             if cluster.member_count != days:
                 raise ValueError(f"cluster {cluster.cluster_id} has {cluster.member_count} "
                                  f"member_ids, but its per_day_counts sum to {days}")
+            # A day is in the per-day maps only once a member was added on it.
+            if min(cluster.per_day_counts.values(), default=1) < 1:
+                raise ValueError(f"cluster {cluster.cluster_id} has a per_day_counts entry below 1")
+            if cluster.per_day_sentiment.keys() != cluster.per_day_counts.keys():
+                raise ValueError(f"cluster {cluster.cluster_id}'s per_day_sentiment days "
+                                 "differ from its per_day_counts days")
             state.clusters[cluster.cluster_id] = cluster
         # Every id is in [1, next_id), so no fewer than 0 clusters expired;
         # each expired cluster took at least one member with it.
@@ -460,9 +466,12 @@ _day = lru_cache(maxsize=4096)(date.fromisoformat)
 def _exact(weight) -> int:
     """A term sum as ``add`` keeps it: the ``int`` a whole number is.  Any
     other sum is a ``ValueError``: ``assign`` relies on each being an integer
-    below 2**53, so that the order it sums them in cannot change a dot."""
+    below 2**53, so that the order it sums them in cannot change a dot, and
+    at least 1, the least count ``add`` adds, so that no norm is 0."""
     weight = float(weight)
     if weight.is_integer() and abs(weight) < 2**53:
+        if weight < 1:
+            raise ValueError(f"term sum {weight!r} is below 1")
         return int(weight)
     raise ValueError(f"term sum {weight!r} is not a whole number below 2**53")
 

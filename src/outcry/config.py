@@ -31,72 +31,55 @@ def read_config_file(path):
         raise InvalidConfig(f"{path}: invalid JSON: {exc}") from exc
 
 
-# RunConfig attributes whose config key differs from the attribute name
-_RENAMED = {"merge_threshold": "merge_threshold_D", "min_event_size": "min_event_size_N"}
+# RunConfig's settings, in order: config key -> (RunConfig attribute,
+# default).  The clusterer and gate defaults are ClusterParams' and
+# ControversyParams', so each is written once.
+_CLUSTER, _GATE = ClusterParams(), ControversyParams()
+_SETTINGS = {
+    "phrases": ("phrases", ()),
+    "input": ("input", None),
+    "out": ("out", None),
+    "state_out": ("state_out", None),
+    "format": ("format", "json"),
+    "lateness_seconds": ("lateness_seconds", 3600.0),
+    "dedup": ("dedup", False),
+    "language_filter": ("language_filter", "en"),
+    "merge_threshold_D": ("merge_threshold", _CLUSTER.merge_threshold),
+    "min_event_size_N": ("min_event_size", _CLUSTER.min_event_size),
+    "inactivity_expiry_hours": ("inactivity_expiry_hours",
+                                _CLUSTER.inactivity_expiry / timedelta(hours=1)),
+    "burst_velocity_threshold": ("burst_velocity_threshold", _GATE.burst_velocity_threshold),
+    "rank_weights": ("rank_weights", _GATE.rank_weights),
+    "news_count_gate": ("news_count_gate", _GATE.news_count_gate),
+    "resolver_mode": ("resolver_mode", "offline"),
+    "network_timeout_ms": ("network_timeout_ms", 3000),
+    "lexicon_path": ("lexicon_path", None),
+    "stopwords_path": ("stopwords_path", None),
+    "verbs_path": ("verbs_path", None),
+    "gazetteer_path": ("gazetteer_path", None),
+    "allowlist_path": ("allowlist_path", None),
+    "redirect_map_path": ("redirect_map_path", None),
+    "daily_summary_clusters": ("daily_summary_clusters", 5),
+}
+# settings that are a string or null: those null by default (the paths),
+# and the language prefix
+_OPTIONAL_STRINGS = tuple(attr for attr, default in _SETTINGS.values()
+                          if default is None or attr == "language_filter")
 
 
 class RunConfig:
-    """Settings of one run.  Each attribute is a config key (see
-    ``_RENAMED``); construction validates them, and so does ``validate``
-    after the CLI overrides some."""
+    """Settings of one run, given as keyword arguments named by attribute
+    (``_SETTINGS`` maps each config key to its attribute).  Construction
+    validates them, and so does ``validate`` after the CLI overrides some."""
 
-    __slots__ = (
-        "phrases", "input", "out", "state_out", "format", "lateness_seconds", "dedup",
-        "language_filter", "merge_threshold", "min_event_size", "inactivity_expiry_hours",
-        "burst_velocity_threshold", "rank_weights", "news_count_gate", "resolver_mode",
-        "network_timeout_ms", "lexicon_path", "stopwords_path", "verbs_path",
-        "gazetteer_path", "allowlist_path", "redirect_map_path", "daily_summary_clusters",
-    )
+    __slots__ = tuple(attr for attr, _ in _SETTINGS.values())
 
-    def __init__(
-        self,
-        phrases: list[str] | tuple[str, ...] | str = (),
-        input: str | None = None,
-        out: str | None = None,
-        state_out: str | None = None,
-        format: str = "json",
-        lateness_seconds: float = 3600.0,
-        dedup: bool = False,
-        language_filter: str | None = "en",
-        merge_threshold: float = 0.7,
-        min_event_size: int = 5,
-        inactivity_expiry_hours: float = 72.0,
-        burst_velocity_threshold: float = 2.0,
-        rank_weights: tuple[float, float, float] = (0.4, 0.3, 0.3),
-        news_count_gate: int = 1,
-        resolver_mode: str = "offline",
-        network_timeout_ms: int = 3000,
-        lexicon_path: str | None = None,
-        stopwords_path: str | None = None,
-        verbs_path: str | None = None,
-        gazetteer_path: str | None = None,
-        allowlist_path: str | None = None,
-        redirect_map_path: str | None = None,
-        daily_summary_clusters: int = 5,
-    ):
-        self.phrases = phrases
-        self.input = input
-        self.out = out
-        self.state_out = state_out
-        self.format = format
-        self.lateness_seconds = lateness_seconds
-        self.dedup = dedup
-        self.language_filter = language_filter
-        self.merge_threshold = merge_threshold
-        self.min_event_size = min_event_size
-        self.inactivity_expiry_hours = inactivity_expiry_hours
-        self.burst_velocity_threshold = burst_velocity_threshold
-        self.rank_weights = rank_weights
-        self.news_count_gate = news_count_gate
-        self.resolver_mode = resolver_mode
-        self.network_timeout_ms = network_timeout_ms
-        self.lexicon_path = lexicon_path
-        self.stopwords_path = stopwords_path
-        self.verbs_path = verbs_path
-        self.gazetteer_path = gazetteer_path
-        self.allowlist_path = allowlist_path
-        self.redirect_map_path = redirect_map_path
-        self.daily_summary_clusters = daily_summary_clusters
+    def __init__(self, **settings):
+        for attr, default in _SETTINGS.values():
+            setattr(self, attr, settings.pop(attr, default))
+        if settings:
+            raise TypeError("RunConfig() got an unexpected keyword argument "
+                            f"{next(iter(settings))!r}")
         self.validate()
 
     def __eq__(self, other):
@@ -160,13 +143,10 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise InvalidConfig("config must be a JSON object")
-        kwargs = {}
-        for key, value in data.items():
-            attr = _KEY_MAP.get(key)
-            if attr is None:
+        for key in data:
+            if key not in _SETTINGS:
                 raise InvalidConfig(f"unknown config key: {key!r}")
-            kwargs[attr] = value
-        return cls(**kwargs)
+        return cls(**{_SETTINGS[key][0]: value for key, value in data.items()})
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -174,20 +154,11 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         out = {}
-        for key, attr in _KEY_MAP.items():
+        for key, (attr, _) in _SETTINGS.items():
             value = getattr(self, attr)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-# config key -> RunConfig attribute
-_KEY_MAP = {_RENAMED.get(name, name): name for name in RunConfig.__slots__}
-# settings that are a string or null: paths and the language prefix
-_OPTIONAL_STRINGS = (
-    "input", "out", "state_out", "language_filter", "lexicon_path", "stopwords_path",
-    "verbs_path", "gazetteer_path", "allowlist_path", "redirect_map_path",
-)
 _string_or_null = check_type((str, type(None)), "a string or null")
 _bool = check_type(bool, "true or false")

@@ -253,6 +253,19 @@ MUTANTS = (
            ("tests/test_cli.py::TestPipelineCounters::"
             "test_day_closes_at_first_admitted_vector_of_a_later_day",
             "tests/test_pinned_bytes.py")),
+    Mutant("a term sum below 1 loads", "clustering.py",
+           '        if weight < 1:\n            raise ValueError(f"term sum {weight!r} is below 1")\n',
+           "",
+           (CLUS + "TestTermSums::test_a_sum_below_one_does_not_load",
+            EVAL + "test_checkpoint_not_as_written_exits_2")),
+    Mutant("a day count below 1 loads", "clustering.py",
+           "            if min(cluster.per_day_counts.values(), default=1) < 1:\n",
+           "            if False:\n",
+           (EVAL + "test_checkpoint_not_as_written_exits_2",)),
+    Mutant("per_day_sentiment days not checked against per_day_counts", "clustering.py",
+           "            if cluster.per_day_sentiment.keys() != cluster.per_day_counts.keys():\n",
+           "            if False:\n",
+           (EVAL + "test_checkpoint_not_as_written_exits_2",)),
     Mutant("member_ids read as they are", "clustering.py",
            '"member_ids": ("_member_text", _ids, lambda v: _ids_text([str(i) for i in v])),',
            '"member_ids": ("_member_text", _ids, _ids_text),',
@@ -298,6 +311,21 @@ MUTANTS = (
            "            if False:\n",
            (RECORDS + "test_validation_errors",
             CLI + "test_non_finite_or_wrong_type_setting_is_config_error")),
+    # -- settings declared once (config._SETTINGS) ---------------------------
+    Mutant("an unknown keyword to RunConfig is dropped", "config.py",
+           "        if settings:\n            raise TypeError(",
+           "        if False:\n            raise TypeError(",
+           (RECORDS + "test_records_reject_assignment",)),
+    Mutant("from_dict does not check config keys", "config.py",
+           "            if key not in _SETTINGS:\n", "            if False:\n",
+           (CLI + "TestDetectCommand::test_unknown_config_key_names_the_first_in_file_order",
+            CLI + "TestDetectCommand::test_unknown_config_key_exits_1_without_output")),
+    Mutant("a flag of 0 does not override the config", "cli.py",
+           'value not in (None, "")', "value",
+           (CLI + "TestDetectCommand::test_flags_override_the_config_unless_empty",)),
+    Mutant("an empty flag overrides the config", "cli.py",
+           'value not in (None, "")', "value is not None",
+           (CLI + "TestDetectCommand::test_flags_override_the_config_unless_empty",)),
     Mutant("a scenario may run past the last date", "synth.py",
            "        if self.start_date.toordinal() + self.days - 1 > date.max.toordinal():\n",
            "        if False:\n",

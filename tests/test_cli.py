@@ -13,7 +13,7 @@ import pytest
 
 import outcry
 from outcry import ClusterState, GroundTruth, InvalidConfig, RunConfig, ingest, run_detection
-from outcry.cli import main
+from outcry.cli import _detect_config, build_parser, main
 from outcry.pipeline import Detector, _round_floats, report_payload
 
 from conftest import make_tweet
@@ -153,6 +153,31 @@ class TestDetectCommand:
                      "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_unknown_config_key_names_the_first_in_file_order(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"phrases": ["acme"], "zeta_knob": 1, "merge_threshold": 0.5}')
+        code = main(["detect", "--config", str(config), "--input", "in.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config key: 'zeta_knob'\n"
+
+    def test_flags_override_the_config_unless_empty(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"phrases": ["acme"], "input": "a.jsonl", "out": "r.json",
+                                      "lateness_seconds": 60, "format": "table"}))
+
+        def detect_config(*flags):
+            return _detect_config(build_parser().parse_args(
+                ["detect", "--config", str(config), *flags]))
+
+        kept = detect_config("--phrases", "", "--input", "", "--out", "", "--state-out", "")
+        assert kept == RunConfig.from_file(config)
+        cfg = detect_config("--phrases", "corp", "--input", "b.jsonl", "--out", "s.json",
+                            "--state-out", "state.json", "--lateness-seconds", "0",
+                            "--format", "json")
+        assert cfg.as_dict() == {**kept.as_dict(), "phrases": ["corp"], "input": "b.jsonl",
+                                 "out": "s.json", "state_out": "state.json",
+                                 "lateness_seconds": 0.0, "format": "json"}
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "nope.jsonl")
@@ -607,6 +632,11 @@ class TestEvaluateCommand:
         "expiry 1e300 hours": lambda doc, c: doc["params"].update(inactivity_expiry_hours=1e300),
         "non-whole term sum": lambda doc, c: c["term_sums"].update(
             {next(iter(c["term_sums"])): 2.5}),
+        "zero term sum": lambda doc, c: c["term_sums"].update({next(iter(c["term_sums"])): 0.0}),
+        "day count 0": lambda doc, c: (c["per_day_counts"].update({"2000-01-01": 0}),
+                                       c["per_day_sentiment"].update({"2000-01-01": 0.0})),
+        "sentiment day without members": lambda doc, c: c["per_day_sentiment"].update(
+            {"2000-01-01": 0.0}),
         "version 1": lambda doc, c: doc.update(schema_version=1, clusters=[
             {("sentiments" if k == "sentiment_partials" else k): v for k, v in e.items()}
             for e in doc["clusters"]]),

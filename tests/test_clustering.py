@@ -304,6 +304,20 @@ class TestTermSums:
         with pytest.raises(ValueError, match="is not a whole number below 2\\*\\*53"):
             ClusterState.load(path)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_a_sum_below_one_does_not_load(self, tmp_path, weight):
+        # Each sum adds counts of at least 1; a sum of 0 would give the cluster
+        # a norm of 0, and the next assign on its terms would divide by it.
+        state = ClusterState()
+        state.assign(make_vector("a", {"h": 1}))
+        path = tmp_path / "state.json"
+        state.save(path)
+        document = json.loads(path.read_text())
+        document["clusters"][0]["term_sums"]["h"] = weight
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="is below 1"):
+            ClusterState.load(path)
+
 
 class TestParams:
     def test_threshold_above_one_capped(self):

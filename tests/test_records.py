@@ -96,6 +96,9 @@ PLAIN = (ClusterParams, ControversyParams, ReplayStats, GroundTruth, RunConfig)
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
 def test_constructor_order_and_defaults(cls):
+    if cls is RunConfig:  # keyword settings, declared in one table
+        assert list(config._SETTINGS.values()) == SIGNATURES[cls]
+        return
     params = inspect.signature(cls).parameters
     assert [(name, p.default) for name, p in params.items()] == SIGNATURES[cls]
 
@@ -114,6 +117,10 @@ def test_records_reject_assignment():
         PhraseFilter(["acme"]).phrases = ("other",)
     with pytest.raises(AttributeError):  # a misspelt setting is an error, not a new field
         RunConfig().merge_treshold = 0.5
+    with pytest.raises(TypeError, match="'merge_treshold'"):
+        RunConfig(merge_treshold=0.5)
+    with pytest.raises(TypeError, match="'merge_threshold_D'"):  # a config key, not an attribute
+        RunConfig(merge_threshold_D=0.5)
 
 
 def test_container_defaults_are_fresh():
@@ -209,7 +216,7 @@ def test_run_config_equality_is_by_config_key():
 
 
 def test_key_tables_name_every_field():
-    assert list(config._KEY_MAP.values()) == list(RunConfig.__slots__)
+    assert [attr for attr, _ in config._SETTINGS.values()] == list(RunConfig.__slots__)
     assert tuple(synth._EVENT_KEYS) == InjectedEvent._fields
     assert tuple(synth._SCENARIO_KEYS) == ScenarioConfig._fields
     for name in RunConfig.__slots__:
@@ -220,6 +227,23 @@ def test_key_tables_name_every_field():
             assert not optional, name
         else:
             assert optional, name
+
+
+def test_run_config_defaults_are_the_clusterer_and_gate_defaults():
+    cfg = RunConfig()
+    for built, default in ((cfg.cluster_params(), ClusterParams()),
+                           (cfg.controversy_params(), ControversyParams())):
+        for name in type(default).__slots__:
+            assert getattr(built, name) == getattr(default, name), name
+
+
+def test_readme_config_table_names_every_setting():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    keys = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    named = {name for cell in keys for name in cell.split("`")[1::2]}
+    for key in config._SETTINGS:
+        assert key in named or (key.endswith("_path") and "*_path" in named), key
 
 
 # The scenario of demos/03_synthetic_recovery.py, and the one CI's bare
