@@ -41,15 +41,10 @@ from .features import (
     load_verb_list,
 )
 from .ingest import (
-    BadTimestamp,
-    MalformedRecord,
-    MissingField,
     PhraseFilter,
     ReplayStats,
     SourceUnavailable,
     Tweet,
-    matches_filter,
-    parse_tweet_record,
     replay_stream,
 )
 from .market import (
@@ -78,19 +73,18 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllowList", "BadTimestamp", "BadUrl", "ClusterParams", "ClusterState",
+    "AllowList", "BadUrl", "ClusterParams", "ClusterState",
     "ControversyParams", "ControversyReport", "CREATED", "DegenerateVector",
     "Detector", "EvalResult", "EventCluster", "EventTruth", "FeatureExtractor",
-    "GroundTruth", "InjectedEvent",
-    "InsufficientData", "InvalidConfig", "MalformedRecord", "MERGED",
-    "MissingField", "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
+    "GroundTruth", "InjectedEvent", "InsufficientData", "InvalidConfig", "MERGED",
+    "NetworkRedirectResolver", "PhraseFilter", "PriceSeries",
     "RedirectCycle", "RedirectMap", "ReplayStats", "ReturnStats", "RuleTagger",
     "RunConfig", "ScenarioConfig", "SentimentLexicon", "SourceUnavailable",
     "Tweet", "TweetVector", "ZeroVariance", "classify_and_rank",
     "daily_returns", "evaluate", "event_day_zscore", "event_sentiment",
     "generate", "is_credible", "load_gazetteer", "load_price_csv",
-    "load_stopwords", "load_verb_list", "matches_filter", "normalize_url",
-    "paired_returns", "parse_tweet_record", "replay_stream", "report_payload",
+    "load_stopwords", "load_verb_list", "normalize_url",
+    "paired_returns", "replay_stream", "report_payload",
     "return_histogram", "return_stats", "run_detection",
     "unique_credible_links",
 ]

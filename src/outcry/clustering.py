@@ -260,6 +260,10 @@ class ClusterState:
         longest: dict[int, int] = {}
         long_len = long_count = 0
         for term, count in terms.items():
+            # A count below 1 would leave a norm of 0, or a term sum below 1
+            # that a checkpoint refuses; nothing has changed yet.
+            if count < 1:
+                raise ValueError("term counts must be >= 1")
             postings = index.get(term)
             if postings:
                 size = len(postings)
@@ -410,6 +414,8 @@ class ClusterState:
             cluster._norm_sq = sum(w * w for w in cluster.term_sums.values())
             cluster.norm = math.sqrt(cluster._norm_sq)
             cluster.member_count = cluster._member_text.count(b"\n")
+            if not cluster.member_count:
+                raise ValueError(f"cluster {cluster.cluster_id} has no members")
             days = sum(cluster.per_day_counts.values())
             if cluster.member_count != days:
                 raise ValueError(f"cluster {cluster.cluster_id} has {cluster.member_count} "

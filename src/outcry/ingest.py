@@ -211,16 +211,6 @@ def _build_tweet(obj: dict, creation_time: datetime) -> Tweet:
     )
 
 
-def parse_tweet_record(line: str) -> Tweet:
-    """Parse one JSONL record into a :class:`Tweet`.
-
-    posting_id, creation_time and text are required; urls and hashtags
-    default to empty lists.  Syntactically invalid URLs are discarded so a
-    parsed Tweet only ever carries absolute scheme+host URLs.
-    """
-    return _build_tweet(*_decode_record(line.strip(_JSON_WS) if isinstance(line, str) else line))
-
-
 def _matches(phrases: tuple[str, ...], text: str, hashtags, urls) -> bool:
     """True iff a phrase occurs in the lowercased text, in a hashtag or in
     the host of an absolute URL.  ``hashtags`` and ``urls`` may be a raw
@@ -239,12 +229,6 @@ def _matches(phrases: tuple[str, ...], text: str, hashtags, urls) -> bool:
         if any(phrase in host for host in hosts for phrase in phrases):
             return True
     return False
-
-
-def matches_filter(tweet: Tweet, phrases: PhraseFilter) -> bool:
-    """True iff any phrase occurs (case-insensitively) in the tweet text,
-    in a hashtag, or in a URL host."""
-    return _matches(phrases.phrases, tweet.text, tweet.hashtags, tweet.urls)
 
 
 @contextmanager

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Iterator
 from datetime import date, datetime, time, timedelta, timezone
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from .clustering import check_type, read_back, require_finite, require_int, stream_json
@@ -23,7 +25,7 @@ from .features import SentimentLexicon
 _TOKEN_OK = re.compile(r"^\w+$")
 _POOL_TERM_OK = re.compile(r"^[a-z][a-z ]*$")
 
-_FILLERS = (" at the ", " over the ", " during the ", " near the ")
+_FILLERS = ("over the", "during the", "near the")  # between an event's terms
 _SOURCES = ("web", "android", "iphone")
 _NEUTRAL_WORDS = ("fine", "okay", "meh")
 
@@ -223,23 +225,15 @@ def generate(cfg: ScenarioConfig) -> tuple[list[str], GroundTruth]:
     lexicon = SentimentLexicon.load()
     credible_domains = sorted(AllowList.load().domains)
 
-    event_words = [
-        _sentiment_pool(lexicon, ev.sentiment_range[0], ev.sentiment_range[1])
-        for ev in cfg.injected_events
-    ]
-    event_links: list[list[str]] = []
+    # Per event: its sentiment words and a cycle over its links, which the
+    # event's tweets take in turn.
+    event_inputs = []
     for idx, ev in enumerate(cfg.injected_events):
-        links = [
-            f"https://{credible_domains[k % len(credible_domains)]}/story/{idx}/{k}"
-            for k in range(ev.credible_link_count)
-        ]
-        links += [
-            f"https://blog{k}.example/post/{idx}/{k}"
-            for k in range(ev.noncredible_link_count)
-        ]
-        event_links.append(links)
-    link_cursor = [0] * len(cfg.injected_events)
-
+        links = [f"https://{credible_domains[k % len(credible_domains)]}/story/{idx}/{k}"
+                 for k in range(ev.credible_link_count)]
+        links += [f"https://blog{k}.example/post/{idx}/{k}"
+                  for k in range(ev.noncredible_link_count)]
+        event_inputs.append((ev, _sentiment_pool(lexicon, *ev.sentiment_range), cycle(links)))
     event_ids: list[list[str]] = [[] for _ in cfg.injected_events]
 
     ambient_days = cfg.days if cfg.ambient_days is None else min(cfg.ambient_days, cfg.days)
@@ -261,82 +255,58 @@ def generate(cfg: ScenarioConfig) -> tuple[list[str], GroundTruth]:
             stamp = day_start + timedelta(seconds=(i * 86400) // len(jobs))
             posting_id = f"syn-{day:03d}-{i:05d}"
             if job < 0:
-                record = _ambient_record(cfg, rng, posting_id, stamp)
+                text, urls = _ambient_text(cfg, rng), []
             else:
-                record = _event_record(
-                    cfg, rng, posting_id, stamp, job,
-                    event_words[job], event_links[job], link_cursor,
-                )
+                text, urls = _event_text(cfg, rng, *event_inputs[job])
                 event_ids[job].append(posting_id)
-            lines.append(json.dumps(record, ensure_ascii=False))
+            lines.append(json.dumps({
+                "posting_id": posting_id,
+                "creation_time": stamp.isoformat(),
+                "text": text,
+                "language": "en",
+                "source": rng.choice(_SOURCES),  # each record's last draw
+                "urls": urls,
+                "hashtags": [],
+            }, ensure_ascii=False))
 
-    return lines, GroundTruth(events=[
-        EventTruth(event_index=i, expected_controversial=ev.expected_controversial,
-                   tweet_ids=tuple(ids))
-        for i, (ev, ids) in enumerate(zip(cfg.injected_events, event_ids))
-    ])
+    return lines, GroundTruth([EventTruth(i, ev.expected_controversial, tuple(ids))
+                               for i, (ev, ids) in enumerate(zip(cfg.injected_events, event_ids))])
 
 
 def _noise_tag(rng: random.Random) -> str:
-    return f"zz{rng.randrange(10**8):08d}"
+    return f"#zz{rng.randrange(10**8):08d}"
 
 
-def _ambient_record(cfg: ScenarioConfig, rng: random.Random,
-                    posting_id: str, stamp: datetime) -> dict:
+def _ambient_text(cfg: ScenarioConfig, rng: random.Random) -> str:
     pool = cfg.ambient_topics[rng.randrange(len(cfg.ambient_topics))]
     tags = rng.sample(pool, k=min(3, len(pool)))
-    parts = []
-    if rng.random() < cfg.ambient_entity_rate:
-        parts.append(f"{cfg.entity}:")
+    parts = [f"{cfg.entity}:"] if rng.random() < cfg.ambient_entity_rate else []
     parts.append("more of the usual")
     parts.extend(f"#{t}" for t in tags)
     if rng.random() < 0.5:
         parts.append(rng.choice(_NEUTRAL_WORDS))
     if rng.random() < cfg.vocabulary_noise:
-        parts.append(f"#{_noise_tag(rng)}")
-    return {
-        "posting_id": posting_id,
-        "creation_time": stamp.isoformat(),
-        "text": " ".join(parts),
-        "language": "en",
-        "source": rng.choice(_SOURCES),
-        "urls": [],
-        "hashtags": [],
-    }
+        parts.append(_noise_tag(rng))
+    return " ".join(parts)
 
 
-def _event_record(cfg: ScenarioConfig, rng: random.Random, posting_id: str,
-                  stamp: datetime, event_index: int, sentiment_words: list[str],
-                  links: list[str], link_cursor: list[int]) -> dict:
-    event = cfg.injected_events[event_index]
+def _event_text(cfg: ScenarioConfig, rng: random.Random, event: InjectedEvent,
+                sentiment_words: list[str], links: Iterator[str]) -> tuple[str, list[str]]:
+    """An event tweet's text and urls: the entity, the event's first three
+    terms (and at times one more) joined by fillers, a sentiment word, and
+    the event's next link, if it has any."""
     chosen = list(event.term_pool[:3])
     extras = event.term_pool[3:]
     if extras and rng.random() < 0.5:
         chosen.append(rng.choice(extras))
-    pieces = [f"{cfg.entity}:"]
-    for k, term in enumerate(chosen):
-        if k:
-            pieces.append(_FILLERS[k % len(_FILLERS)].strip())
-        pieces.append(_render_phrase(term))
+    pieces = [f"{cfg.entity}:", _render_phrase(chosen[0])]
+    for filler, term in zip(_FILLERS, chosen[1:]):
+        pieces += (filler, _render_phrase(term))
     pieces.append(rng.choice(sentiment_words))
-    urls = []
-    if links:
-        urls.append(links[link_cursor[event_index] % len(links)])
-        link_cursor[event_index] += 1
     if rng.random() < cfg.vocabulary_noise:
-        pieces.append(f"#{_noise_tag(rng)}")
-    text = " ".join(pieces)
-    if urls:
-        text = f"{text} {urls[0]}"
-    return {
-        "posting_id": posting_id,
-        "creation_time": stamp.isoformat(),
-        "text": text,
-        "language": "en",
-        "source": rng.choice(_SOURCES),
-        "urls": urls,
-        "hashtags": [],
-    }
+        pieces.append(_noise_tag(rng))
+    urls = list(islice(links, 1))
+    return " ".join(pieces + urls), urls
 
 
 class EvalResult(NamedTuple):
@@ -350,31 +320,24 @@ def evaluate(reports, state, truth: GroundTruth) -> EvalResult:
 
     An injected event counts as detected when some flagged cluster contains
     more than half of its ground-truth tweet ids.  With no flagged clusters
-    precision is 1.0 (no false alarms).
+    precision is 1.0 (no false alarms).  A report that names a cluster
+    twice, or one that ``state`` does not hold, is a ``ValueError``: a run
+    reports each candidate event once, and never expires a candidate.
     """
-    flagged = [r for r in reports if r.controversial]
-    flagged_members = {
-        r.cluster_id: set(state.clusters[r.cluster_id].member_ids)
-        for r in flagged if r.cluster_id in state.clusters
-    }
-    expected = [e for e in truth.events if e.expected_controversial]
-
-    def covers(members: set[str], event: EventTruth) -> bool:
-        ids = event.tweet_ids
-        if not ids:
-            return False
-        hits = sum(1 for tid in ids if tid in members)
-        return hits / len(ids) > 0.5
-
-    detected = sum(
-        1 for event in expected
-        if any(covers(members, event) for members in flagged_members.values())
-    )
-    recall = detected / len(expected) if expected else 1.0
-    true_positives = sum(
-        1 for members in flagged_members.values()
-        if any(covers(members, event) for event in expected)
-    )
-    precision = true_positives / len(flagged) if flagged else 1.0
+    expected = [e.tweet_ids for e in truth.events if e.expected_controversial]
+    reported = set()
+    rows = []  # one per flagged cluster: whether it covers each expected event
+    for r in reports:
+        if r.cluster_id in reported:
+            raise ValueError(f"cluster_id {r.cluster_id} is reported twice")
+        if r.cluster_id not in state.clusters:
+            raise ValueError(f"reported cluster_id {r.cluster_id} is not in the checkpoint")
+        reported.add(r.cluster_id)
+        if r.controversial:
+            members = set(state.clusters[r.cluster_id].member_ids)
+            rows.append([bool(ids) and sum(tid in members for tid in ids) / len(ids) > 0.5
+                         for ids in expected])
+    recall = sum(map(any, zip(*rows))) / len(expected) if expected else 1.0
+    precision = sum(map(any, rows)) / len(rows) if rows else 1.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return EvalResult(precision=precision, recall=recall, f1=f1)

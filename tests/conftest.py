@@ -13,6 +13,7 @@ from outcry import (
     TweetVector,
     load_stopwords,
 )
+from outcry.ingest import _JSON_WS, _build_tweet, _decode_record, _matches
 
 BASE_TIME = datetime(2024, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 _SCAN_TAGGER = RuleTagger()
@@ -70,6 +71,18 @@ def make_vector(tweet_id, terms, sentiment=0.0, ts=BASE_TIME, links=(), day=None
         links=frozenset(links),
         day=day or ts.date(),
     )
+
+
+def parse_record(line):
+    """The Tweet replay builds from one JSONL line (a str with its JSON
+    whitespace stripped first, or bytes), or the IngestError it counts."""
+    return _build_tweet(*_decode_record(line.strip(_JSON_WS) if isinstance(line, str) else line))
+
+
+def matches(tweet, phrase_filter):
+    """Whether replay's phrase rule keeps ``tweet``: a phrase in its
+    lowercased text, in a hashtag or in a URL host."""
+    return _matches(phrase_filter.phrases, tweet.text, tweet.hashtags, tweet.urls)
 
 
 def stream_of(lines):

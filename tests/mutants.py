@@ -186,8 +186,20 @@ MUTANTS = (
            "(-pair[0], pair[1].cluster_id)", "(-pair[0], -pair[1].cluster_id)",
            ("tests/test_pinned_bytes.py",)),
     Mutant("half the truth ids count as found", "synth.py",
-           "return hits / len(ids) > 0.5", "return hits / len(ids) >= 0.5",
+           "for tid in ids) / len(ids) > 0.5", "for tid in ids) / len(ids) >= 0.5",
            ("tests/test_synth.py::TestEvaluate::test_majority_containment_required",)),
+    Mutant("a cluster reported twice is scored", "synth.py",
+           "        if r.cluster_id in reported:\n", "        if False:\n",
+           ("tests/test_synth.py::TestEvaluate::test_cluster_reported_twice_rejected",
+            EVAL + "test_wrong_json_shape_exits_2")),
+    Mutant("a reported cluster missing from the checkpoint is scored", "synth.py",
+           "        if r.cluster_id not in state.clusters:\n", "        if False:\n",
+           ("tests/test_synth.py::TestEvaluate::test_cluster_missing_from_state_rejected",
+            EVAL + "test_wrong_json_shape_exits_2")),
+    # -- synthetic streams (synth.generate) ----------------------------------
+    Mutant("an event tweet skips a link", "synth.py",
+           "urls = list(islice(links, 1))", "urls = list(islice(links, 1, 2))",
+           (RECORDS + "test_synth_and_evaluate_bytes",)),
     Mutant("population standard deviation", "market.py",
            "/ (n - 1))", "/ n)",
            ("tests/test_market.py",)),
@@ -262,6 +274,10 @@ MUTANTS = (
            "            if min(cluster.per_day_counts.values(), default=1) < 1:\n",
            "            if False:\n",
            (EVAL + "test_checkpoint_not_as_written_exits_2",)),
+    Mutant("a cluster with no members loads", "clustering.py",
+           "            if not cluster.member_count:\n", "            if False:\n",
+           (CLUS + "TestTermSums::test_a_cluster_with_no_members_does_not_load",
+            EVAL + "test_checkpoint_not_as_written_exits_2")),
     Mutant("per_day_sentiment days not checked against per_day_counts", "clustering.py",
            "            if cluster.per_day_sentiment.keys() != cluster.per_day_counts.keys():\n",
            "            if False:\n",
@@ -282,6 +298,9 @@ MUTANTS = (
     Mutant("a non-finite sentiment is admitted", "clustering.py",
            '        require_finite("sentiment", vector.sentiment)\n', "",
            (CLUS + "TestAssign::test_non_finite_sentiment_rejected_before_any_change",)),
+    Mutant("a term count below 1 is admitted", "clustering.py",
+           "            if count < 1:\n", "            if False:\n",
+           (CLUS + "TestAssign::test_term_count_below_one_rejected_before_any_change",)),
     # -- one reader for every JSON file (clustering.read_json) --------------
     Mutant("read_json lets RecursionError through", "clustering.py",
            "        except RecursionError as exc:\n", "        except ArithmeticError as exc:\n",

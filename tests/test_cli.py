@@ -545,7 +545,8 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("wrong", ["report", "state", "truth", "event entry",
                                        "report too deep", "state too deep", "truth too deep",
                                        "controversial no", "cluster_id string", "events object",
-                                       "events missing"])
+                                       "events missing", "cluster_id twice",
+                                       "cluster_id not in state"])
     def test_wrong_json_shape_exits_2(self, tmp_path, capsys, wrong):
         stream = tmp_path / "in.jsonl"
         stream.write_text(json.dumps({"posting_id": "t1", "creation_time": "2024-03-01T10:00:00Z",
@@ -560,6 +561,10 @@ class TestEvaluateCommand:
             "cluster_id string": {"events": [{"cluster_id": "1", "controversial": True}]},
             "events object": {"events": {}},
             "events missing": {"schema_version": 1},
+            "cluster_id twice": {"events": [{"cluster_id": 1, "controversial": True},
+                                            {"cluster_id": 1, "controversial": False}]},
+            "cluster_id not in state": {"events": [{"cluster_id": 1, "controversial": True},
+                                                   {"cluster_id": 9, "controversial": False}]},
         }
         if wrong in reports:
             paths["report"].write_text(json.dumps(reports[wrong]))
@@ -637,6 +642,8 @@ class TestEvaluateCommand:
                                        c["per_day_sentiment"].update({"2000-01-01": 0.0})),
         "sentiment day without members": lambda doc, c: c["per_day_sentiment"].update(
             {"2000-01-01": 0.0}),
+        "no members": lambda doc, c: c.update(member_ids=[], per_day_counts={},
+                                              per_day_sentiment={}),
         "version 1": lambda doc, c: doc.update(schema_version=1, clusters=[
             {("sentiments" if k == "sentiment_partials" else k): v for k, v in e.items()}
             for e in doc["clusters"]]),

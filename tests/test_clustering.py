@@ -175,6 +175,19 @@ class TestAssign:
             assert (state.admitted, state.next_id, state.payload(),
                     state._term_index) == before
 
+    @pytest.mark.parametrize("terms", [{"h": 0}, {"x": 0}, {"h": -1, "g": 1}, {"g": 1, "x": 0.5}])
+    def test_term_count_below_one_rejected_before_any_change(self, terms):
+        # {h: 0} alone would open a cluster with norm 0, which the next {h: 1}
+        # divides by; {h: -1, g: 1} would leave a term sum that load refuses.
+        state = ClusterState(ClusterParams(merge_threshold=0.5))
+        state.assign(make_vector("a", {"x": 1}))
+        before = (state.admitted, state.next_id, state.payload(),
+                  copy.deepcopy(state._term_index))
+        with pytest.raises(ValueError, match="term counts must be >= 1"):
+            state.assign(make_vector("b", terms))
+        assert (state.admitted, state.next_id, state.payload(), state._term_index) == before
+        assert state.assign(make_vector("c", {"h": 1})) == (2, CREATED)
+
 
 class TestCandidateEvents:
     def _filled(self, sizes, min_event_size=5):
@@ -316,6 +329,19 @@ class TestTermSums:
         document["clusters"][0]["term_sums"]["h"] = weight
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match="is below 1"):
+            ClusterState.load(path)
+
+    def test_a_cluster_with_no_members_does_not_load(self, tmp_path):
+        # A cluster is created with its first member; event_sentiment of an
+        # empty one raises.
+        state = ClusterState()
+        state.assign(make_vector("a", {"h": 1}))
+        path = tmp_path / "state.json"
+        state.save(path)
+        document = json.loads(path.read_text())
+        document["clusters"][0].update(member_ids=[], per_day_counts={}, per_day_sentiment={})
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="cluster 1 has no members"):
             ClusterState.load(path)
 
 

@@ -10,19 +10,15 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from outcry import (
-    BadTimestamp,
-    MalformedRecord,
-    MissingField,
     PhraseFilter,
     ReplayStats,
     SourceUnavailable,
     Tweet,
-    matches_filter,
-    parse_tweet_record,
     replay_stream,
 )
+from outcry.ingest import BadTimestamp, MalformedRecord, MissingField
 
-from conftest import BASE_TIME, make_tweet, stream_of
+from conftest import BASE_TIME, make_tweet, matches, parse_record, stream_of
 
 
 def record(posting_id="t1", ts="2024-03-01T12:00:00+00:00", text="hello world", **extra):
@@ -41,7 +37,7 @@ class TestParseTweetRecord:
             urls=["https://nytimes.com/a"],
             hashtags=["News"],
         )
-        tweet = parse_tweet_record(line)
+        tweet = parse_record(line)
         assert tweet.posting_id == "abc"
         assert tweet.creation_time == datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
         assert tweet.text == "Starbucks news"
@@ -51,41 +47,41 @@ class TestParseTweetRecord:
         assert tweet.hashtags == ("news",)
 
     def test_missing_urls_defaults_to_empty(self):
-        tweet = parse_tweet_record(record())
+        tweet = parse_record(record())
         assert tweet.urls == ()
         assert tweet.hashtags == ()
 
     def test_missing_posting_id_is_error(self):
         line = json.dumps({"creation_time": "2024-03-01T00:00:00Z", "text": "x"})
         with pytest.raises(MissingField):
-            parse_tweet_record(line)
+            parse_record(line)
 
     def test_missing_text_is_error(self):
         line = json.dumps({"posting_id": "a", "creation_time": "2024-03-01T00:00:00Z"})
         with pytest.raises(MissingField):
-            parse_tweet_record(line)
+            parse_record(line)
 
     def test_missing_creation_time_is_error(self):
         line = json.dumps({"posting_id": "a", "text": "x"})
         with pytest.raises(MissingField):
-            parse_tweet_record(line)
+            parse_record(line)
 
     def test_unparseable_json_is_malformed(self):
         with pytest.raises(MalformedRecord):
-            parse_tweet_record("{not json")
+            parse_record("{not json")
 
     def test_non_object_is_malformed(self):
         with pytest.raises(MalformedRecord):
-            parse_tweet_record("[1, 2]")
+            parse_record("[1, 2]")
 
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32-le"])
     def test_bytes_line_is_decoded_like_json_loads(self, encoding):
         line = record(text="café")
-        assert parse_tweet_record(line.encode(encoding)) == parse_tweet_record(line)
+        assert parse_record(line.encode(encoding)) == parse_record(line)
 
     def test_bad_timestamp(self):
         with pytest.raises(BadTimestamp):
-            parse_tweet_record(record(ts="the other day"))
+            parse_record(record(ts="the other day"))
 
     @pytest.mark.parametrize("ts", [
         1e20,                          # past the platform's time_t: OverflowError
@@ -98,19 +94,19 @@ class TestParseTweetRecord:
     ])
     def test_out_of_range_or_bool_timestamp(self, ts):
         with pytest.raises(BadTimestamp):
-            parse_tweet_record(record(ts=ts))
+            parse_record(record(ts=ts))
 
     def test_z_suffix_and_epoch_timestamps(self):
-        a = parse_tweet_record(record(ts="2024-03-01T12:00:00Z"))
-        b = parse_tweet_record(record(ts=1709294400))
+        a = parse_record(record(ts="2024-03-01T12:00:00Z"))
+        b = parse_record(record(ts=1709294400))
         assert a.creation_time == b.creation_time
 
     def test_invalid_urls_are_discarded(self):
-        tweet = parse_tweet_record(record(urls=["notaurl", "https://ok.example/x"]))
+        tweet = parse_record(record(urls=["notaurl", "https://ok.example/x"]))
         assert tweet.urls == ("https://ok.example/x",)
 
     def test_hashtags_are_lowercased_and_unprefixed(self):
-        tweet = parse_tweet_record(record(hashtags=["#BoycottAcme", "News"]))
+        tweet = parse_record(record(hashtags=["#BoycottAcme", "News"]))
         assert tweet.hashtags == ("boycottacme", "news")
 
 
@@ -138,7 +134,7 @@ class TestTweetRecord:
     def test_parse_equals_keyword_built(self):
         line = record(posting_id="abc", text="Acme news", language="en", source="web",
                       urls=["https://nytimes.com/a", "notaurl"], hashtags=["#News"])
-        assert parse_tweet_record(line) == Tweet(
+        assert parse_record(line) == Tweet(
             posting_id="abc",
             creation_time=datetime(2024, 3, 1, 12, tzinfo=timezone.utc),
             text="Acme news",
@@ -147,7 +143,7 @@ class TestTweetRecord:
             urls=("https://nytimes.com/a",),
             hashtags=("news",),
         )
-        assert parse_tweet_record(record()) == Tweet(
+        assert parse_record(record()) == Tweet(
             posting_id="t1", creation_time=datetime(2024, 3, 1, 12, tzinfo=timezone.utc),
             text="hello world")
 
@@ -163,24 +159,24 @@ class TestPhraseFilter:
 
     def test_text_substring_match(self):
         f = PhraseFilter(["starbucks"])
-        assert matches_filter(make_tweet(text="I love Starbucks coffee"), f)
-        assert not matches_filter(make_tweet(text="I love coffee"), f)
+        assert matches(make_tweet(text="I love Starbucks coffee"), f)
+        assert not matches(make_tweet(text="I love coffee"), f)
 
     def test_hashtag_only_match(self):
         # The text carries no mention; every retained field must be scanned.
         f = PhraseFilter(["starbucks"])
         tweet = make_tweet(text="great coffee downtown", hashtags=["starbucks"])
-        assert matches_filter(tweet, f)
+        assert matches(tweet, f)
         for field_only in [
             make_tweet(text="great coffee downtown"),
             make_tweet(text="great coffee downtown", hashtags=["coffee"]),
         ]:
-            assert not matches_filter(field_only, f)
+            assert not matches(field_only, f)
 
     def test_url_host_match(self):
         f = PhraseFilter(["starbucks"])
         tweet = make_tweet(text="look", urls=["https://news.starbucks.com/x"])
-        assert matches_filter(tweet, f)
+        assert matches(tweet, f)
 
 
 class TestReplayStream:
@@ -322,7 +318,7 @@ class TestReplayStream:
                                      lateness_seconds=600, stats=stats))
             times = [t.creation_time for t in out]
             assert times == sorted(times)
-            assert all(matches_filter(t, PhraseFilter(["acme"])) for t in out)
+            assert all(matches(t, PhraseFilter(["acme"])) for t in out)
             assert (stats.parse_errors + stats.dropped_late + stats.filtered_out
                     + stats.duplicates + stats.yielded) == stats.total == n
 

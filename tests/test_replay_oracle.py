@@ -13,8 +13,9 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outcry import PhraseFilter, ReplayStats, matches_filter, parse_tweet_record, replay_stream
+from outcry import PhraseFilter, ReplayStats, replay_stream
 
+from conftest import matches, parse_record
 from reference import reference_matches, reference_parse, reference_replay
 
 BASE = datetime(2024, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -131,9 +132,9 @@ def test_parse_and_match_equal_the_oracle(line, phrases):
     except ValueError as exc:
         want = type(exc)
     try:
-        got = parse_tweet_record(line)
+        got = parse_record(line)
     except ValueError as exc:
         got = type(exc)
     assert got == want
     if not isinstance(want, type):
-        assert matches_filter(got, phrase_filter) == reference_matches(want, phrase_filter)
+        assert matches(got, phrase_filter) == reference_matches(want, phrase_filter)

@@ -13,10 +13,11 @@ from outcry import (
     ScenarioConfig,
     evaluate,
     generate,
-    parse_tweet_record,
 )
 from outcry.cli import main
 from outcry.synth import EventTruth
+
+from conftest import parse_record
 
 
 def scenario(**overrides):
@@ -148,7 +149,7 @@ class TestGenerate:
         assert len(event_ids) >= 5
         emitted_event_ids = set()
         for line in lines:
-            tweet = parse_tweet_record(line)
+            tweet = parse_record(line)
             if "Dock Spill" in tweet.text:
                 emitted_event_ids.add(tweet.posting_id)
         assert emitted_event_ids == event_ids
@@ -158,7 +159,7 @@ class TestGenerate:
         lines, _ = generate(cfg)
         per_day = Counter()
         for line in lines:
-            tweet = parse_tweet_record(line)
+            tweet = parse_record(line)
             per_day[tweet.creation_time.date()] += 1
         expected = {0: 20, 1: 20, 2: 20, 3: 45, 4: 45}
         got = {(day - cfg.start_date).days: n for day, n in per_day.items()}
@@ -166,7 +167,7 @@ class TestGenerate:
 
     def test_timestamps_nondecreasing_ids_unique(self):
         lines, _ = generate(scenario())
-        tweets = [parse_tweet_record(line) for line in lines]
+        tweets = [parse_record(line) for line in lines]
         times = [t.creation_time for t in tweets]
         assert times == sorted(times)
         ids = [t.posting_id for t in tweets]
@@ -178,7 +179,7 @@ class TestGenerate:
         event_ids = set(truth.events[0].tweet_ids)
         seen = 0
         for line in lines:
-            tweet = parse_tweet_record(line)
+            tweet = parse_record(line)
             if tweet.posting_id not in event_ids:
                 continue
             vec = extractor.vector(tweet)
@@ -195,7 +196,7 @@ class TestGenerate:
         extractor = FeatureExtractor()
         links = set()
         for line in lines:
-            tweet = parse_tweet_record(line)
+            tweet = parse_record(line)
             if tweet.posting_id in event_ids:
                 vec = extractor.vector(tweet)
                 links.update(vec.links)
@@ -277,3 +278,22 @@ class TestEvaluate:
         state = fake_state({1: ["a", "b"]})
         result = evaluate([fake_report(1)], state, truth)
         assert result.recall == 1.0
+
+    def test_cluster_reported_twice_rejected(self):
+        # Counted once as a true positive but twice as a flag, it would give
+        # precision 0.5; no report of a run lists a cluster twice.
+        truth = GroundTruth(events=[EventTruth(0, True, ["a", "b", "c"])])
+        state = fake_state({1: ["a", "b", "c"]})
+        with pytest.raises(ValueError, match="cluster_id 1 is reported twice"):
+            evaluate([fake_report(1), fake_report(1)], state, truth)
+        with pytest.raises(ValueError, match="cluster_id 1 is reported twice"):
+            evaluate([fake_report(1), fake_report(1, controversial=False)], state, truth)
+
+    def test_cluster_missing_from_state_rejected(self):
+        # Every reported event is a candidate, and a candidate never expires,
+        # so a reported cluster is in the state its run saved.
+        truth = GroundTruth(events=[EventTruth(0, True, ["a", "b", "c"])])
+        state = fake_state({1: ["a", "b", "c"]})
+        for flagged in (True, False):
+            with pytest.raises(ValueError, match="cluster_id 9 is not in the checkpoint"):
+                evaluate([fake_report(1), fake_report(9, controversial=flagged)], state, truth)
